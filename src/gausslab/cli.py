@@ -200,6 +200,10 @@ def _cmd_lym(args) -> int:
         family = json.loads(args.antichain)
     except json.JSONDecodeError as exc:
         raise ValueError(f"antichain is not valid JSON: {exc}") from exc
+    if not isinstance(family, list) or not all(
+        isinstance(subset, list) and all(type(x) is int for x in subset) for subset in family
+    ):
+        raise ValueError("antichain must be a JSON array of arrays of integers")
     total = posetlab.lym_sum(family, args.n)
     doc = {
         "v": SCHEMA_VERSION,
@@ -535,9 +539,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Built on the first call rather than at import, and reused: parsing
+    # leaves the parser unchanged, and building it costs more than a small query.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except EnumerationBudgetExceeded as exc:

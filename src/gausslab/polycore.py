@@ -7,7 +7,9 @@ construction, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -151,11 +153,27 @@ class IntPoly:
 
     @classmethod
     def from_json(cls, strings: Iterable[Union[str, int]]) -> "IntPoly":
-        return cls(int(s) for s in strings)
+        """Inverse of :meth:`to_json`; also takes plain ints.
+
+        Anything else (bools, floats, null, nested arrays, strings other than
+        an optional minus sign followed by decimal digits) raises ValueError.
+        """
+        return cls(_coefficient(s) for s in strings)
 
     def to_json(self) -> list[str]:
         """Decimal strings, lowest degree first, so precision survives transport."""
         return [str(c) for c in self.coeffs]
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _coefficient(item: object) -> int:
+    if type(item) is int:
+        return item
+    if isinstance(item, str) and _DECIMAL.fullmatch(item):
+        return int(item)
+    raise ValueError(f"coefficient {item!r} is not an integer or a decimal string")
 
 
 PolyLike = Union[IntPoly, Sequence[int]]
@@ -205,6 +223,49 @@ def div_exact(f: PolyLike, g: PolyLike) -> IntPoly:
     if any(rem):
         raise NonExactDivision("nonzero remainder")
     return IntPoly(quot)
+
+
+# -- linear-time kernels for the binomial X^m - 1 ------------------------------
+
+
+def mul_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
+    """f * (X^m - 1) in one shift-subtract pass, O(deg f + m).
+
+    >>> mul_xm_minus_one([1, 1], 2)
+    IntPoly((-1, -1, 1, 1))
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    c = as_poly(f).coeffs
+    out = [0] * m + list(c)
+    for k, v in enumerate(c):
+        out[k] -= v
+    return IntPoly(out)
+
+
+def div_exact_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
+    """Exact quotient f / (X^m - 1) by strided running sums, O(deg f).
+
+    From f = q * (X^m - 1), the coefficients obey q[k] = q[k - m] - f[k]
+    from the bottom up, and the top m coefficients of f must equal
+    q[k - m]; any mismatch raises NonExactDivision, exactly when
+    :func:`div_exact` would.
+
+    >>> div_exact_xm_minus_one([-1, 0, 0, 1], 3)
+    IntPoly((1,))
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    c = as_poly(f).coeffs
+    size = max(len(c) - m, 0)
+    q = [-v for v in c[:size]]
+    for r in range(min(m, size)):
+        q[r::m] = itertools.accumulate(q[r::m])
+    shifted = [0] * m + q
+    for k in range(size, len(c)):
+        if c[k] != shifted[k]:
+            raise NonExactDivision(f"X^{m} - 1 does not divide: coefficient {k} is {c[k]}")
+    return IntPoly(q)
 
 
 # -- sequence shape tests ----------------------------------------------------
@@ -429,7 +490,11 @@ def count_distinct_real_roots(f: PolyLike) -> int:
         raise ZeroPolynomial("root count of zero is undefined")
     if p.degree == 0:
         return 0
-    g = square_free_part(p)
+    return _count_real_roots_square_free(square_free_part(p))
+
+
+def _count_real_roots_square_free(g: IntPoly) -> int:
+    """Sturm count of the real roots of a nonzero square-free g."""
     if g.degree == 0:
         return 0
     chain = sturm_chain(g)
@@ -452,7 +517,7 @@ def is_real_rooted(f: PolyLike) -> bool:
     if p.degree <= 1:
         return True
     g = square_free_part(p)
-    return count_distinct_real_roots(g) == g.degree
+    return _count_real_roots_square_free(g) == g.degree
 
 
 # -- nondecreasing-coefficient shift test -------------------------------------

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from . import injectlab
 from .errors import NegativeArgument, NegativeExponent
-from .polycore import IntPoly, darga, div_exact
+from .polycore import IntPoly, darga, div_exact_xm_minus_one, mul_xm_minus_one
 
 DEFAULT_ENUMERATION_BUDGET = injectlab.DEFAULT_ENUMERATION_BUDGET
 
@@ -51,14 +51,14 @@ def gaussian_quotient(a: int, b: int) -> IntPoly:
 
     The division is performed incrementally, so every intermediate value is
     itself a Gaussian polynomial; a nonzero remainder anywhere would be an
-    implementation bug and surfaces as a hard error.
+    implementation bug and surfaces as a hard error.  Both factors are
+    binomials, so each step runs in time linear in the degree.
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
     out = IntPoly.one()
     for i in range(1, b + 1):
-        numerator = out * (IntPoly.monomial(a + i) - IntPoly.one())
-        out = div_exact(numerator, IntPoly.monomial(i) - IntPoly.one())
+        out = div_exact_xm_minus_one(mul_xm_minus_one(out, a + i), i)
     return out
 
 
@@ -103,9 +103,10 @@ def level_counts(
     """
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
+    injectlab._check_budget(a, b, budget)
     counts = [0] * (a * b + 1)
-    for p in injectlab.enumerate_box(a, b, budget):
-        counts[p.weight] += 1
+    for parts in injectlab.iter_box(a, b):
+        counts[sum(parts)] += 1
     return counts
 
 

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from gausslab import cli
 from gausslab.cli import main
 
 
@@ -191,6 +194,60 @@ class TestReport:
         code2, out2 = run(capsys, "report", "--amax", "2", "--bmax", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "coeffs", ["[[1]]", "[null]", "[true,1]", "[1.5]", '["1.5"]', '[" 1"]', '"12"']
+    )
+    def test_check_rejects_non_integer_coefficients(self, capsys, coeffs):
+        code = main(["check", coeffs])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_check_accepts_ints_and_decimal_strings(self, capsys):
+        code, out = run(capsys, "check", '[1, "-2", "30"]', "--unimodal")
+        assert code == 1
+        assert json.loads(out)["coeffs"] == ["1", "-2", "30"]
+
+    @pytest.mark.parametrize("family", ["{}", "[[1,2],5]", '[["1"]]', "[[true]]", "[[1.0]]"])
+    def test_lym_rejects_malformed_families(self, capsys, family):
+        code = main(["lym", "3", family])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestOneProcess:
+    ARGVS = (
+        ["gauss", "6", "5"],
+        ["check", '["1","11","11","1"]'],
+        ["eulerian", "6"],
+        ["gauss", "6", "5"],
+    )
+
+    def test_parser_built_once_and_outputs_match_fresh_processes(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        in_process = []
+        for argv in self.ARGVS:
+            code = main(list(argv))
+            in_process.append((code, capsys.readouterr().out))
+        assert len(built) == 1
+        for argv, (code, out) in zip(self.ARGVS, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "gausslab.cli", *argv], capture_output=True, text=True
+            )
+            assert (fresh.returncode, fresh.stdout) == (code, out)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestUsage:

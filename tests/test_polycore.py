@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gausslab import polycore
 from gausslab.errors import (
     NonExactDivision,
     NotPalindromic,
@@ -226,6 +227,20 @@ class TestRealRooted:
         p = IntPoly([1, 1]) ** 3 * IntPoly([-1, 1])
         sf = square_free_part(p)
         assert sf == IntPoly([1, 1]) * IntPoly([-1, 1])
+
+    def test_square_free_reduction_runs_once(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return square_free_part(f)
+
+        monkeypatch.setattr(polycore, "square_free_part", counted)
+        p = IntPoly([1, 1]) ** 3 * IntPoly([-1, 1])
+        assert is_real_rooted(p)
+        assert len(calls) == 1
+        assert count_distinct_real_roots(p) == 2
+        assert len(calls) == 2
 
     def test_sturm_chain_shape(self):
         chain = sturm_chain([1, 11, 11, 1])

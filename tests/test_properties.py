@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausslab.errors import NonExactDivision
 from gausslab.polycore import (
     GammaVector,
     IntPoly,
@@ -13,6 +14,7 @@ from gausslab.polycore import (
     boros_moll_P,
     darga,
     div_exact,
+    div_exact_xm_minus_one,
     gamma_decompose,
     is_darga_palindromic,
     is_log_concave,
@@ -20,6 +22,7 @@ from gausslab.polycore import (
     is_real_rooted,
     is_unimodal,
     mode,
+    mul_xm_minus_one,
     shift_by_one,
     shifted_is_unimodal,
 )
@@ -48,6 +51,61 @@ def test_div_exact_round_trip(a, b):
     if g.is_zero:
         return
     assert div_exact(f * g, g) == f
+
+
+# -- the X^m - 1 kernels against the dense routines -----------------------------
+
+strides = st.integers(min_value=1, max_value=9)
+
+
+def _xm_minus_one(m):
+    return IntPoly.monomial(m) - IntPoly.one()
+
+
+@given(coeff_lists, strides)
+def test_mul_xm_minus_one_matches_dense(a, m):
+    f = IntPoly(a)
+    assert mul_xm_minus_one(f, m) == f * _xm_minus_one(m)
+
+
+@given(coeff_lists, strides)
+def test_div_xm_minus_one_round_trip(a, m):
+    f = IntPoly(a)
+    product = f * _xm_minus_one(m)
+    assert div_exact_xm_minus_one(product, m) == f == div_exact(product, _xm_minus_one(m))
+
+
+@given(coeff_lists, st.lists(small_ints, min_size=1, max_size=9), strides)
+def test_div_xm_minus_one_rejects_a_remainder(a, r, m):
+    # A nonzero remainder of degree < m leaves f * (X^m - 1) + r indivisible.
+    rem = IntPoly(r[:m])
+    if rem.is_zero:
+        return
+    g = IntPoly(a) * _xm_minus_one(m) + rem
+    with pytest.raises(NonExactDivision):
+        div_exact_xm_minus_one(g, m)
+    with pytest.raises(NonExactDivision):
+        div_exact(g, _xm_minus_one(m))
+
+
+@given(coeff_lists, strides)
+def test_div_xm_minus_one_agrees_on_any_input(a, m):
+    f, g = IntPoly(a), _xm_minus_one(m)
+    try:
+        expected = div_exact(f, g)
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision):
+            div_exact_xm_minus_one(f, m)
+    else:
+        assert div_exact_xm_minus_one(f, m) == expected
+
+
+@pytest.mark.parametrize("m", [0, -1, -5])
+def test_xm_minus_one_kernels_reject_m_below_one(m):
+    with pytest.raises(ValueError):
+        mul_xm_minus_one([1, 2], m)
+    with pytest.raises(ValueError):
+        div_exact_xm_minus_one([1, 2], m)
 
 
 @given(coeff_lists)
