@@ -12,6 +12,7 @@ Submodules:
 - ``posetlab``: subset lattice with antichain search and exact LYM sums,
   weak order on permutations, set-partition lattice, Eulerian polynomials.
 - ``pathlab``: lattice paths, grid-invariant reflection, path counts.
+- ``criteria``: the acceptance checks shared by the test suite and ``report``.
 - ``cli``: the command-line surface.
 """
 

@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 
-from . import injectlab, pathlab, polycore, posetlab, qgauss
+from . import criteria, injectlab, pathlab, polycore, posetlab, qgauss
 from .errors import EnumerationBudgetExceeded, GausslabError
 from .polycore import IntPoly
 
@@ -327,112 +327,45 @@ def _cmd_paths(args) -> int:
 # -- the one-document report --------------------------------------------------------------
 
 
-def _gaussian_section(amax: int, bmax: int, budget: int | None) -> dict:
-    grid = []
-    all_agree = True
-    for a in range(1, amax + 1):
-        for b in range(1, bmax + 1):
-            quotient = qgauss.gaussian_quotient(a, b)
-            pascal = qgauss.gaussian_pascal(a, b)
-            enum_counts = IntPoly(qgauss.level_counts(a, b, budget))
-            koh_cal, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.CALIBRATED)
-            koh_stated, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.STATED)
-            agree = quotient == pascal == enum_counts == koh_cal
-            all_agree = all_agree and agree
-            grid.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "four_way_agreement": agree,
-                    "stated_rule_agrees": koh_stated == quotient,
-                    "unimodal": polycore.is_unimodal(quotient),
-                    "darga": polycore.darga(quotient),
-                }
-            )
-    return {"grid": grid, "pass": all_agree}
-
-
-def _injection_section(amax: int, bmax: int, budget: int | None) -> dict:
-    audits = injectlab.audit_all(amax, bmax, budget=budget)
-    claims = injectlab.verify_claimed_witnesses(amax, bmax, budget)
-    return {
-        "audits": [r.to_json_dict() for r in audits],
-        "claims": [c.to_json_dict() for c in claims],
-        "pass": True,
-    }
-
-
-def _poset_section() -> dict:
+def _cmd_report(args) -> int:
+    # The poset and path checks run first, so that their enumerations peak
+    # before the audit objects are alive rather than on top of them.
     sperner = posetlab.max_antichain(4)
-    lym_tight = posetlab.lym_sum(posetlab.full_layer(4, 2), 4) == 1
-    bruhat_ok = all(
-        posetlab.inversion_polynomial(n) == qgauss.q_factorial(n) for n in range(1, 6)
-    )
-    stirling_ok = all(
-        polycore.is_unimodal(IntPoly(posetlab.stirling_row(n))) for n in range(1, 9)
-    )
-    eulerian_ok = True
-    for n in range(1, 8):
-        poly = posetlab.eulerian(n)
-        eulerian_ok = eulerian_ok and polycore.is_palindromic(poly, n - 1)
-        eulerian_ok = eulerian_ok and polycore.is_gamma_nonnegative(poly, n - 1)
-        eulerian_ok = eulerian_ok and polycore.is_real_rooted(poly)
-        eulerian_ok = eulerian_ok and polycore.is_unimodal(poly)
-    ok = (
-        sperner.max_size == sperner.bound
-        and sperner.num_maximum == 1
-        and lym_tight
-        and bruhat_ok
-        and stirling_ok
-        and eulerian_ok
-    )
-    return {
+    posets = {
         "sperner_n4": {
             "max_size": str(sperner.max_size),
             "num_maximum": str(sperner.num_maximum),
             "total_antichains": str(sperner.total_antichains),
         },
-        "lym_middle_layer_tight_n4": lym_tight,
-        "inversion_polynomial_matches_q_factorial_n_le_5": bruhat_ok,
-        "stirling_rows_unimodal_n_le_8": stirling_ok,
-        "eulerian_suite_n_le_7": eulerian_ok,
-        "pass": ok,
+        "lym_middle_layer_tight_n4": criteria.lym_holds(4),
+        "inversion_polynomial_matches_q_factorial_n_le_5": criteria.inversions_hold(5),
+        "stirling_rows_unimodal_n_le_8": criteria.stirling_rows_hold(8),
+        "eulerian_suite_n_le_7": criteria.eulerian_suite_holds(7),
     }
-
-
-def _path_section() -> dict:
-    fab_ok = True
-    for a in range(1, 5):
-        for b in range(1, 5):
-            for n in range(a + b, 13, 2):
-                fab_ok = fab_ok and pathlab.count_free(a, b, n) == (
-                    pathlab.count_free_closed_form(a, b, n)
-                )
-    monotone_ok = all(
-        pathlab.monotone_injection(n, k).injective
-        for n in range(2, 11)
-        for k in range(n // 2)
+    posets["pass"] = criteria.sperner_holds(sperner, 4) and all(
+        value for value in posets.values() if isinstance(value, bool)
     )
-    sagan_ok = all(
-        polycore.is_unimodal(IntPoly(pathlab.sagan_sequence(n, k)))
-        for n in range(17)
-        for k in range(n + 1)
-    )
-    return {
-        "free_walk_counts_match_closed_form": fab_ok,
-        "monotone_reflection_injective": monotone_ok,
-        "binomial_product_sequences_unimodal": sagan_ok,
-        "pass": fab_ok and monotone_ok and sagan_ok,
+    paths = {
+        "free_walk_counts_match_closed_form": criteria.free_walks_hold(4, 12),
+        "monotone_reflection_injective": criteria.monotone_injections_hold(10),
+        "binomial_product_sequences_unimodal": criteria.sagan_sequences_hold(16),
     }
-
-
-def _cmd_report(args) -> int:
+    paths["pass"] = all(paths.values())
+    grid = criteria.gaussian_grid(args.amax, args.bmax, args.budget)
+    audits = injectlab.audit_all(args.amax, args.bmax, budget=args.budget)
+    claims = injectlab.verify_claimed_witnesses(args.amax, args.bmax, args.budget)
     sections = {
-        "gaussian": _gaussian_section(args.amax, args.bmax, args.budget),
-        "injections": _injection_section(args.amax, args.bmax, args.budget),
-        "posets": _poset_section(),
-        "paths": _path_section(),
+        "gaussian": {"grid": grid, "pass": criteria.gaussian_grid_holds(grid)},
+        "injections": {
+            "audits": [r.to_json_dict() for r in audits],
+            "claims": [c.to_json_dict() for c in claims],
+            "pass": criteria.injections_hold(audits, claims),
+        },
+        "posets": posets,
+        "paths": paths,
     }
+    # Dropped before serialising, where the report's memory peaks.
+    del audits, claims
     doc = {
         "v": SCHEMA_VERSION,
         "command": "report",
@@ -529,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_paths)
 
     p = sub.add_parser("report", help="full verification run as one JSON document")
-    p.add_argument("--all", action="store_true", help="run every section (default)")
     p.add_argument("--amax", type=int, default=6)
     p.add_argument("--bmax", type=int, default=6)
     p.add_argument("--budget", type=int, default=injectlab.DEFAULT_ENUMERATION_BUDGET)

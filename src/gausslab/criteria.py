@@ -1,0 +1,188 @@
+"""The acceptance checks that ``report`` also certifies, each written once.
+
+Each function takes its range as a parameter and returns the verdict, so the
+acceptance suite and ``gausslab report`` run the same check at their own
+ranges.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+from . import pathlab, polycore, posetlab, qgauss
+from .injectlab import AuditOutcome, AuditReport, ClaimVerdict, InjectionRule, WitnessCheck
+from .polycore import IntPoly
+
+
+def gaussian_grid(amax: int, bmax: int, budget: Optional[int]) -> list[dict]:
+    """One cell per box 1 <= a <= amax, 1 <= b <= bmax: route agreement and shape."""
+    grid = []
+    for a in range(1, amax + 1):
+        for b in range(1, bmax + 1):
+            quotient = qgauss.gaussian_quotient(a, b)
+            pascal = qgauss.gaussian_pascal(a, b)
+            enum_counts = IntPoly(qgauss.level_counts(a, b, budget))
+            koh_cal, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.CALIBRATED)
+            koh_stated, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.STATED)
+            grid.append(
+                {
+                    "a": a,
+                    "b": b,
+                    "four_way_agreement": quotient == pascal == enum_counts == koh_cal,
+                    "stated_rule_agrees": koh_stated == quotient,
+                    "unimodal": polycore.is_unimodal(quotient),
+                    "darga": polycore.darga(quotient),
+                }
+            )
+    return grid
+
+
+def gaussian_grid_holds(grid: list[dict]) -> bool:
+    """All four routes agree, G(a,b) is unimodal with darga ab, and the printed
+    argument rule reproduces G(a,b) exactly on the diagonal a == b."""
+    return all(
+        cell["four_way_agreement"]
+        and cell["unimodal"]
+        and cell["darga"] == cell["a"] * cell["b"]
+        and cell["stated_rule_agrees"] == (cell["a"] == cell["b"])
+        for cell in grid
+    )
+
+
+def _allowed_verdicts(rule: InjectionRule, a: int, b: int) -> set[ClaimVerdict]:
+    both_sides_two = a >= 2 and b >= 2
+    if rule is InjectionRule.MAX_WT:
+        if both_sides_two:
+            return {ClaimVerdict.CONFIRMED}
+        return {ClaimVerdict.NOT_A_FAILURE, ClaimVerdict.NOT_APPLICABLE}
+    middle = (a * b) // 2
+    if rule is InjectionRule.MIN_BASE_VALUE:
+        # The documented pair maps to distinct images: not a failure.
+        applicable, verdict = a >= 3 and b >= 2 and b < middle, ClaimVerdict.NOT_A_FAILURE
+    else:
+        # The fill rules' pair collides at 2b-2 (2a-2 for the transpose).
+        side = b if rule is InjectionRule.COLUMN_FILL else a
+        applicable, verdict = both_sides_two and 2 * side - 2 < middle, ClaimVerdict.CONFIRMED
+    return {verdict if applicable else ClaimVerdict.NOT_APPLICABLE}
+
+
+def injections_hold(audits: list[AuditReport], claims: list[WitnessCheck]) -> bool:
+    """The max-statistic rule ties at k = 1 on (1, 0, ..., 0) in every box with
+    both sides >= 2, and every documented claim gets its expected verdict."""
+    ties = all(
+        (r.outcome, r.level, r.witnesses)
+        == (AuditOutcome.UNDEFINED, 1, ((1,) + (0,) * (r.box[0] - 1),))
+        for r in audits
+        if r.rule is InjectionRule.MAX_WT and min(r.box) >= 2
+    )
+    return ties and all(
+        c.verdict in _allowed_verdicts(c.rule, *c.box)
+        and not (
+            c.rule is InjectionRule.COLUMN_FILL
+            and c.verdict is ClaimVerdict.CONFIRMED
+            and c.claimed_level != 2 * c.box[1] - 2
+        )
+        for c in claims
+    )
+
+
+def sperner_holds(search: posetlab.SpernerSearch, n: int) -> bool:
+    """The largest antichain of subsets of {1..n} has C(n, ceil(n/2)) members and
+    is unique for even n (the middle layer); odd n has two middle layers."""
+    return (
+        search.max_size == search.bound == math.comb(n, (n + 1) // 2)
+        and search.num_maximum == (1 if n % 2 == 0 else 2)
+    )
+
+
+def lym_holds(n: int) -> bool:
+    """Every antichain of subsets of {1..n} has LYM sum <= 1, with equality exactly
+    on the full layers, the middle one included."""
+    layers = {frozenset(posetlab.full_layer(n, k)) for k in range(n + 1)}
+    middle = frozenset(posetlab.full_layer(n, n // 2))
+    seen_middle_tight = False
+    for masks in posetlab.iter_antichains(n):
+        family = [tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks]
+        total = posetlab.lym_sum(family, n)
+        as_sets = frozenset(family)
+        if total > 1 or (total == 1) != (as_sets in layers):
+            return False
+        seen_middle_tight = seen_middle_tight or as_sets == middle
+    return seen_middle_tight
+
+
+def inversions_hold(nmax: int) -> bool:
+    """The inversion generating function of S_n is the q-factorial, n = 1..nmax."""
+    return all(
+        posetlab.inversion_polynomial(n) == qgauss.q_factorial(n) for n in range(1, nmax + 1)
+    )
+
+
+def stirling_rows_hold(nmax: int) -> bool:
+    """Each row S(n, 1..n), n = 1..nmax, is unimodal and counts the set partitions
+    of {1..n} by their number of blocks."""
+    for n in range(1, nmax + 1):
+        row = posetlab.stirling_row(n)
+        counts = [0] * n
+        for p in posetlab.set_partitions(n):
+            counts[len(p) - 1] += 1
+        if not polycore.is_unimodal(IntPoly(row)) or counts != row:
+            return False
+    return True
+
+
+def eulerian_suite_holds(nmax: int) -> bool:
+    """A_n, n = 1..nmax, is palindromic, gamma-nonnegative, real-rooted and
+    unimodal, and its coefficients sum to n!."""
+    for n in range(1, nmax + 1):
+        poly = posetlab.eulerian(n)
+        if not (
+            polycore.is_palindromic(poly, n - 1)
+            and polycore.is_gamma_nonnegative(poly, n - 1)
+            and polycore.is_real_rooted(poly)
+            and polycore.is_unimodal(poly)
+            and poly.evaluate(1) == math.factorial(n)
+        ):
+            return False
+    return True
+
+
+def free_walks_hold(side: int, nmax: int) -> bool:
+    """The walk-count DP equals the closed form for endpoints 1 <= a, b <= side and
+    every step count 1..nmax of the endpoint's parity."""
+    return all(
+        pathlab.count_free(a, b, steps) == pathlab.count_free_closed_form(a, b, steps)
+        for a in range(1, side + 1)
+        for b in range(1, side + 1)
+        for steps in range(1, nmax + 1)
+        if (steps - a - b) % 2 == 0
+    )
+
+
+def monotone_injections_hold(nmax: int) -> bool:
+    """For n = 2..nmax and each level k below the middle, the reflection maps all
+    C(n, k) paths injectively into level k+1."""
+    certs = (pathlab.monotone_injection(n, k) for n in range(2, nmax + 1) for k in range(n // 2))
+    return all(
+        c.injective and c.images_in_target and c.source_count == math.comb(c.n, c.k) for c in certs
+    )
+
+
+def sagan_sequences_hold(nmax: int) -> bool:
+    """(C(n, j) C(n, k-j))_j is unimodal for 0 <= k <= n <= nmax, and for k = 2j it
+    rises from C(n, j-1) C(n, j+1) to C(n, j)^2 at its centre."""
+    for n in range(nmax + 1):
+        if not all(
+            polycore.is_unimodal(IntPoly(pathlab.sagan_sequence(n, k))) for k in range(n + 1)
+        ):
+            return False
+        for j in range(1, n // 2 + 1):
+            seq = pathlab.sagan_sequence(n, 2 * j)
+            if not (
+                seq[j] == math.comb(n, j) ** 2
+                and seq[j - 1] == math.comb(n, j - 1) * math.comb(n, j + 1)
+                and seq[j] >= seq[j - 1]
+            ):
+                return False
+    return True

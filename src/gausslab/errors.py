@@ -21,10 +21,6 @@ class PreconditionViolated(GausslabError):
     """Input fails a documented precondition (e.g. coefficients decrease)."""
 
 
-class NegativeArgument(GausslabError):
-    """A term-assembly rule produced a negative box width for a nontrivial factor."""
-
-
 class NegativeExponent(GausslabError):
     """A term-assembly rule produced a negative monomial prefactor exponent."""
 

@@ -120,11 +120,6 @@ def monotone_paths(n: int, k: int) -> list[LatticePath]:
     return out
 
 
-def count_monotone(n: int, k: int) -> int:
-    """Path count by explicit enumeration (equals C(n, k))."""
-    return len(monotone_paths(n, k))
-
-
 @dataclass(frozen=True)
 class MonotoneInjection:
     """Reflection map from level k to level k+1 with its verification data."""

@@ -99,10 +99,6 @@ def subset_lattice(n: int) -> RankedPoset:
     return RankedPoset(elements, covers, ranks)
 
 
-def subset_leq(s: int, t: int) -> bool:
-    return s & t == s
-
-
 def mask_of(subset: Iterable[int], n: int) -> int:
     mask = 0
     for x in subset:
@@ -260,11 +256,6 @@ def stirling2(n: int, k: int) -> int:
 def stirling_row(n: int) -> list[int]:
     """(S(n, 1), ..., S(n, n))."""
     return [stirling2(n, k) for k in range(1, n + 1)]
-
-
-def stirling_polynomial(n: int) -> IntPoly:
-    """sum_k S(n, k) X^k, i.e. the Stirling row with a leading zero coefficient."""
-    return IntPoly([0] + stirling_row(n))
 
 
 def set_partitions(n: int) -> list[SetPartition]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import injectlab
-from .errors import NegativeArgument, NegativeExponent
+from .errors import NegativeExponent
 from .polycore import IntPoly, darga, div_exact_xm_minus_one, mul_xm_minus_one
 
 DEFAULT_ENUMERATION_BUDGET = injectlab.DEFAULT_ENUMERATION_BUDGET
@@ -101,8 +101,8 @@ def level_counts(
     Computed by direct enumeration; equals the coefficient sequence of
     gaussian_quotient(a, b) and is palindromic.
     """
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
+    if a < 0 or b < 0:
+        raise ValueError("need a, b >= 0")
     injectlab._check_budget(a, b, budget)
     counts = [0] * (a * b + 1)
     for parts in injectlab.iter_box(a, b):
@@ -132,8 +132,8 @@ class MultiplicityVector:
 
 def koh_multiplicity_vectors(b: int) -> tuple[MultiplicityVector, ...]:
     """All solutions of sum i*d_i = b; one per integer partition of b."""
-    if b < 1:
-        raise ValueError("need b >= 1")
+    if b < 0:
+        raise ValueError("need b >= 0")
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, remaining: int, acc: list[int]) -> None:
@@ -259,18 +259,10 @@ def koh_terms(
     rule: ArgRule = ArgRule.CALIBRATED,
     *,
     argument: Optional[ArgumentFormula] = None,
-    on_negative: str = "zero",
 ) -> list[KohTerm]:
-    """Assemble one term per multiplicity vector.
-
-    ``on_negative`` controls factors whose width a_i goes negative while
-    b_i > 0: "zero" (default) values them as the zero polynomial and keeps
-    the flagged term in the breakdown; "error" raises NegativeArgument.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    if on_negative not in ("zero", "error"):
-        raise ValueError("on_negative must be 'zero' or 'error'")
+    """Assemble one term per multiplicity vector (see :class:`KohTerm`)."""
+    if a < 0 or b < 0:
+        raise ValueError("need a, b >= 0")
     arg = _resolve_argument(rule, argument)
     terms = []
     for dv in koh_multiplicity_vectors(b):
@@ -287,11 +279,6 @@ def koh_terms(
             pairs.append((a_i, b_i))
             if b_i > 0 and a_i < 0:
                 negatives.append(i)
-        if negatives and on_negative == "error":
-            raise NegativeArgument(
-                f"negative factor width(s) at indexes {negatives} for"
-                f" multiplicities {dv.d} in box ({a},{b}): {pairs}"
-            )
         if negatives:
             poly = IntPoly.zero()
         else:
@@ -319,10 +306,9 @@ def koh_sum(
     rule: ArgRule = ArgRule.CALIBRATED,
     *,
     argument: Optional[ArgumentFormula] = None,
-    on_negative: str = "zero",
 ) -> tuple[IntPoly, list[KohTerm]]:
     """The assembled sum plus its per-term breakdown."""
-    terms = koh_terms(a, b, rule, argument=argument, on_negative=on_negative)
+    terms = koh_terms(a, b, rule, argument=argument)
     total = IntPoly.zero()
     for term in terms:
         total = total + term.poly

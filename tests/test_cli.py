@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gausslab import cli
+from gausslab import cli, injectlab, pathlab, posetlab, qgauss
 from gausslab.cli import main
 
 
@@ -46,6 +47,20 @@ class TestGauss:
         _, first = run(capsys, "gauss", "5", "3", "--method", "koh", "--terms")
         _, second = run(capsys, "gauss", "5", "3", "--method", "koh", "--terms")
         assert first == second
+
+    @pytest.mark.parametrize("method", ["quotient", "pascal", "enum", "koh"])
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0)])
+    def test_zero_side_box_holds_only_the_empty_partition(self, capsys, method, a, b):
+        code, out = run(capsys, "gauss", str(a), str(b), "--method", method)
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1"]
+
+    @pytest.mark.parametrize("method", ["quotient", "pascal", "enum", "koh"])
+    @pytest.mark.parametrize("a, b", [(-1, 3), (3, -1)])
+    def test_negative_side_is_a_domain_error(self, capsys, method, a, b):
+        code = main(["gauss", str(a), str(b), "--method", method])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_budget_exit_code(self, capsys):
         code = main(["gauss", "12", "12", "--method", "enum", "--budget", "100"])
@@ -178,7 +193,7 @@ class TestPathCommands:
 class TestReport:
     def test_report_small(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
-        code = main(["report", "--all", "--amax", "3", "--bmax", "3", "--out", str(out_file)])
+        code = main(["report", "--amax", "3", "--bmax", "3", "--out", str(out_file)])
         capsys.readouterr()
         assert code == 0
         doc = json.loads(out_file.read_text())
@@ -189,11 +204,65 @@ class TestReport:
         stated = {(c["a"], c["b"]): c["stated_rule_agrees"] for c in grid}
         assert all(agree == (a == b) for (a, b), agree in stated.items())
 
+    def test_report_digest(self, capsys):
+        code, out = run(capsys, "report", "--amax", "4", "--bmax", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5a2d05e6930b34f00c36295385d365fc8d63f9c9d77d77314a66d7b9d536765e"
+        )
+
     def test_report_deterministic(self, capsys):
         code1, out1 = run(capsys, "report", "--amax", "2", "--bmax", "2")
         code2, out2 = run(capsys, "report", "--amax", "2", "--bmax", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def _stated_rule_is_calibrated(monkeypatch):
+    monkeypatch.setitem(
+        qgauss.ARGUMENT_FORMULAS, qgauss.ArgRule.STATED, qgauss.calibrated_argument
+    )
+
+
+def _max_wt_claim_one_level_up(monkeypatch):
+    claimed = injectlab._claimed_witnesses
+
+    def shifted(rule, a, b):
+        k, witnesses, kind = claimed(rule, a, b)
+        return (k + 1 if rule is injectlab.InjectionRule.MAX_WT else k), witnesses, kind
+
+    monkeypatch.setattr(injectlab, "_claimed_witnesses", shifted)
+
+
+def _stirling_row_with_a_dip(monkeypatch):
+    row = posetlab.stirling_row
+    monkeypatch.setattr(posetlab, "stirling_row", lambda n: [1, 0] + row(n))
+
+
+def _closed_form_off_by_one(monkeypatch):
+    closed = pathlab.count_free_closed_form
+    monkeypatch.setattr(pathlab, "count_free_closed_form", lambda a, b, n: closed(a, b, n) + 1)
+
+
+class TestReportCanFail:
+    @pytest.mark.parametrize(
+        "section, fault",
+        [
+            ("gaussian", _stated_rule_is_calibrated),
+            ("injections", _max_wt_claim_one_level_up),
+            ("posets", _stirling_row_with_a_dip),
+            ("paths", _closed_form_off_by_one),
+        ],
+    )
+    def test_one_fault_fails_only_its_section(self, capsys, monkeypatch, section, fault):
+        fault(monkeypatch)
+        code, out = run(capsys, "report", "--amax", "3", "--bmax", "3")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["pass"] is False
+        assert {name: s["pass"] for name, s in doc["sections"].items()} == {
+            name: name != section for name in ("gaussian", "injections", "posets", "paths")
+        }
 
 
 class TestInputContract:

@@ -9,7 +9,6 @@ from gausslab.pathlab import (
     LineOrientation,
     count_free,
     count_free_closed_form,
-    count_monotone,
     monotone_injection,
     monotone_paths,
     reflect_path,
@@ -98,10 +97,10 @@ class TestSwapBisector:
 
 class TestMonotone:
     def test_counts(self):
-        assert count_monotone(4, 2) == 6
+        assert len(monotone_paths(4, 2)) == 6
         for n in range(9):
             for k in range(n + 1):
-                assert count_monotone(n, k) == math.comb(n, k)
+                assert len(monotone_paths(n, k)) == math.comb(n, k)
 
     def test_paths_are_valid_and_end_right(self):
         for path in monotone_paths(5, 2):

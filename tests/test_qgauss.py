@@ -3,7 +3,7 @@ import math
 import pytest
 
 from gausslab import injectlab
-from gausslab.errors import EnumerationBudgetExceeded, NegativeArgument
+from gausslab.errors import EnumerationBudgetExceeded
 from gausslab.polycore import IntPoly, darga, is_darga_palindromic, is_log_concave
 from gausslab.qgauss import (
     ArgRule,
@@ -180,8 +180,6 @@ class TestKoh:
         assert len(flagged) == 1
         assert flagged[0].vanishes
         assert flagged[0].darga is None
-        with pytest.raises(NegativeArgument):
-            koh_sum(1, 2, on_negative="error")
 
     def test_stated_rule_disagrees_off_diagonal(self):
         stated, _ = koh_sum(4, 2, ArgRule.STATED)
