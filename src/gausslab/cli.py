@@ -4,8 +4,13 @@ All subcommands are thin adapters over the library; no combinatorial logic
 lives here.  Output JSON is deterministic (stable key order, big integers as
 decimal strings, no timestamps), so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 a checked property is false, 2 usage or domain
-error, 3 enumeration budget exceeded.
+Each handler returns its JSON fields and whether its checked property holds.
+``main`` alone adds the ``v`` and ``command`` fields, writes the document to
+stdout or ``--out``, and picks the exit code: 0 the property holds, 1 it is
+false, 2 a usage, domain or output error, 3 enumeration budget exceeded.
+Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1),
+``stirling n`` with n < 1, ``lym n`` with n < 0, and an ``--out`` file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -23,21 +28,27 @@ from .polycore import IntPoly
 
 SCHEMA_VERSION = 1
 
+# What a handler returns: its JSON fields (None if it printed its own output)
+# and whether its checked property holds.
+Result = tuple[dict | None, bool]
+
 
 def _emit(doc: dict, out: str | None = None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".report-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _parse_coeffs(text: str) -> IntPoly:
@@ -53,9 +64,9 @@ def _parse_coeffs(text: str) -> IntPoly:
 # -- gauss -----------------------------------------------------------------------
 
 
-def _cmd_gauss(args) -> int:
+def _cmd_gauss(args) -> Result:
     a, b = args.a, args.b
-    doc = {"v": SCHEMA_VERSION, "command": "gauss", "a": a, "b": b, "method": args.method}
+    body = {"a": a, "b": b, "method": args.method}
     if args.method == "quotient":
         poly = qgauss.gaussian_quotient(a, b)
     elif args.method == "pascal":
@@ -65,18 +76,17 @@ def _cmd_gauss(args) -> int:
     else:
         rule = qgauss.ArgRule(args.koh_rule)
         poly, terms = qgauss.koh_sum(a, b, rule)
-        doc["rule"] = rule.value
+        body["rule"] = rule.value
         if args.terms:
-            doc["terms"] = [t.to_json_dict() for t in terms]
-    doc["coeffs"] = poly.to_json()
-    _emit(doc)
-    return 0
+            body["terms"] = [t.to_json_dict() for t in terms]
+    body["coeffs"] = poly.to_json()
+    return body, True
 
 
 # -- check -----------------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Result:
     poly = _parse_coeffs(args.coeffs)
     center = args.center if args.center is not None else max(poly.degree, 0)
     requested = {
@@ -106,53 +116,43 @@ def _cmd_check(args) -> int:
             checks["gamma"] = None
     if requested["real_rooted"]:
         checks["real_rooted"] = polycore.is_real_rooted(poly)
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "check",
-        "coeffs": poly.to_json(),
-        "center": center,
-        "checks": checks,
-    }
-    _emit(doc)
-    failed = any(value is False for value in checks.values())
-    return 1 if failed else 0
+    body = {"coeffs": poly.to_json(), "center": center, "checks": checks}
+    return body, not any(value is False for value in checks.values())
 
 
 # -- injection audits --------------------------------------------------------------
 
 
-def _cmd_injection_audit(args) -> int:
+def _box_range(args) -> tuple[int, int]:
+    if args.amax < 1 or args.bmax < 1:
+        raise ValueError(f"need --amax and --bmax >= 1, got {args.amax} and {args.bmax}")
+    return args.amax, args.bmax
+
+
+def _cmd_injection_audit(args) -> Result:
+    amax, bmax = _box_range(args)
     if args.rule == "all":
         rules = tuple(injectlab.InjectionRule)
     else:
         rules = (injectlab.RULE_BY_NUMBER[int(args.rule)],)
-    audits = injectlab.audit_all(args.amax, args.bmax, rules, args.budget)
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "injection-audit",
-        "amax": args.amax,
-        "bmax": args.bmax,
-        "audits": [r.to_json_dict() for r in audits],
-    }
+    audits = injectlab.audit_all(amax, bmax, rules, args.budget)
+    claims = []
     if args.verify_claims:
-        checks = [
-            c
-            for c in injectlab.verify_claimed_witnesses(args.amax, args.bmax, args.budget)
-            if c.rule in rules
-        ]
-        doc["claims"] = [c.to_json_dict() for c in checks]
+        claimed = injectlab.verify_claimed_witnesses(amax, bmax, args.budget)
+        claims = [c for c in claimed if c.rule in rules]
     if args.table:
         for r in audits:
             print(_audit_row(r))
-        if args.verify_claims:
-            for c in checks:
-                print(
-                    f"claim {c.rule.value} ({c.box[0]},{c.box[1]}) k={c.claimed_level}"
-                    f" -> {c.verdict.value}: {c.detail}"
-                )
-        return 0
-    _emit(doc)
-    return 0
+        for c in claims:
+            print(
+                f"claim {c.rule.value} ({c.box[0]},{c.box[1]}) k={c.claimed_level}"
+                f" -> {c.verdict.value}: {c.detail}"
+            )
+        return None, True
+    body = {"amax": amax, "bmax": bmax, "audits": [r.to_json_dict() for r in audits]}
+    if args.verify_claims:
+        body["claims"] = [c.to_json_dict() for c in claims]
+    return body, True
 
 
 def _audit_row(r: injectlab.AuditReport) -> str:
@@ -169,33 +169,26 @@ def _audit_row(r: injectlab.AuditReport) -> str:
 # -- poset commands ------------------------------------------------------------------
 
 
-def _cmd_sperner(args) -> int:
+def _cmd_sperner(args) -> Result:
     n = args.n
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "sperner",
+    body = {
         "n": n,
         "bound": str(math.comb(n, (n + 1) // 2)),
-        "middle_layer_sizes": [
-            str(math.comb(n, n // 2)),
-            str(math.comb(n, (n + 1) // 2)),
-        ],
+        "middle_layer_sizes": [str(math.comb(n, n // 2)), str(math.comb(n, (n + 1) // 2))],
     }
-    if args.exhaustive:
-        search = posetlab.max_antichain(n, max_n=args.max_exhaustive)
-        doc["exhaustive"] = {
-            "max_size": str(search.max_size),
-            "num_maximum": str(search.num_maximum),
-            "total_antichains": str(search.total_antichains),
-            "bound_holds": search.bound_holds,
-        }
-        _emit(doc)
-        return 0 if search.bound_holds and search.max_size == search.bound else 1
-    _emit(doc)
-    return 0
+    if not args.exhaustive:
+        return body, True
+    search = posetlab.max_antichain(n, max_n=args.max_exhaustive)
+    body["exhaustive"] = {
+        "max_size": str(search.max_size),
+        "num_maximum": str(search.num_maximum),
+        "total_antichains": str(search.total_antichains),
+        "bound_holds": search.bound_holds,
+    }
+    return body, criteria.sperner_holds(search, n)
 
 
-def _cmd_lym(args) -> int:
+def _cmd_lym(args) -> Result:
     try:
         family = json.loads(args.antichain)
     except json.JSONDecodeError as exc:
@@ -205,129 +198,88 @@ def _cmd_lym(args) -> int:
     ):
         raise ValueError("antichain must be a JSON array of arrays of integers")
     total = posetlab.lym_sum(family, args.n)
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "lym",
+    body = {
         "n": args.n,
         "sum": f"{total.numerator}/{total.denominator}",
         "bound_holds": total <= 1,
         "tight": total == 1,
     }
-    _emit(doc)
-    return 0 if total <= 1 else 1
+    return body, total <= 1
 
 
-def _cmd_bruhat(args) -> int:
+def _cmd_bruhat(args) -> Result:
     poset = posetlab.weak_bruhat(args.n)
     hist = poset.rank_histogram()
-    expected = list(qgauss.q_factorial(args.n).coeffs)
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "bruhat",
+    holds = hist == list(qgauss.q_factorial(args.n).coeffs)
+    body = {
         "n": args.n,
         "rank_histogram": [str(c) for c in hist],
-        "matches_q_factorial": hist == expected,
+        "matches_q_factorial": holds,
         "num_covers": len(poset.covers),
     }
-    _emit(doc)
-    return 0 if hist == expected else 1
+    return body, holds
 
 
-def _cmd_stirling(args) -> int:
+def _cmd_stirling(args) -> Result:
     row = posetlab.stirling_row(args.n)
     unimodal = polycore.is_unimodal(IntPoly(row))
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "stirling",
-        "n": args.n,
-        "row": [str(c) for c in row],
-        "unimodal": unimodal,
-        "bell": str(sum(row)),
-    }
-    _emit(doc)
-    return 0 if unimodal else 1
+    body = {"n": args.n, "row": [str(c) for c in row], "unimodal": unimodal, "bell": str(sum(row))}
+    return body, unimodal
 
 
-def _cmd_eulerian(args) -> int:
+def _cmd_eulerian(args) -> Result:
     poly = posetlab.eulerian(args.n)
-    n = args.n
-    checks = {
-        "palindromic": polycore.is_palindromic(poly, n - 1),
-        "unimodal": polycore.is_unimodal(poly),
-        "real_rooted": polycore.is_real_rooted(poly),
-        "coefficient_sum_is_factorial": poly.evaluate(1) == math.factorial(n),
-    }
-    checks["gamma_nonnegative"] = (
-        checks["palindromic"] and polycore.is_gamma_nonnegative(poly, n - 1)
-    )
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "eulerian",
-        "n": n,
-        "coeffs": poly.to_json(),
-        "checks": checks,
-    }
-    _emit(doc)
-    return 0 if all(checks.values()) else 1
+    checks = criteria.eulerian_checks(poly, args.n)
+    return {"n": args.n, "coeffs": poly.to_json(), "checks": checks}, all(checks.values())
 
 
 # -- path commands ---------------------------------------------------------------------
 
 
-def _cmd_paths(args) -> int:
-    if args.paths_command == "fab":
-        dp = pathlab.count_free(args.a, args.b, args.n)
-        closed = pathlab.count_free_closed_form(args.a, args.b, args.n)
-        doc = {
-            "v": SCHEMA_VERSION,
-            "command": "paths fab",
-            "a": args.a,
-            "b": args.b,
-            "n": args.n,
-            "count": str(dp),
-            "closed_form": str(closed),
-            "agree": dp == closed,
-        }
-        _emit(doc)
-        return 0 if dp == closed else 1
-    if args.paths_command == "monotone":
-        cert = pathlab.monotone_injection(args.n, args.k)
-        doc = {
-            "v": SCHEMA_VERSION,
-            "command": "paths monotone",
-            "n": args.n,
-            "k": args.k,
-            "source_count": str(cert.source_count),
-            "image_count": str(cert.image_count),
-            "injective": cert.injective,
-            "images_in_target": cert.images_in_target,
-            "line": {"orientation": cert.line.orientation.value, "offset": cert.line.offset},
-        }
-        if args.show_map:
-            doc["map"] = [
-                {"source": [list(v) for v in src_path], "image": [list(v) for v in img]}
-                for src_path, img in cert.mapping
-            ]
-        _emit(doc)
-        return 0 if cert.injective and cert.images_in_target else 1
-    seq = pathlab.sagan_sequence(args.n, args.k)
-    unimodal = polycore.is_unimodal(IntPoly(seq)) if seq != [0] * len(seq) else True
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "paths sagan",
+def _cmd_paths_fab(args) -> Result:
+    count, closed = criteria.free_walk_counts(args.a, args.b, args.n)
+    body = {
+        "a": args.a,
+        "b": args.b,
+        "n": args.n,
+        "count": str(count),
+        "closed_form": str(closed),
+        "agree": count == closed,
+    }
+    return body, count == closed
+
+
+def _cmd_paths_monotone(args) -> Result:
+    cert = pathlab.monotone_injection(args.n, args.k)
+    body = {
         "n": args.n,
         "k": args.k,
-        "sequence": [str(c) for c in seq],
-        "unimodal": unimodal,
+        "source_count": str(cert.source_count),
+        "image_count": str(cert.image_count),
+        "injective": cert.injective,
+        "images_in_target": cert.images_in_target,
+        "line": {"orientation": cert.line.orientation.value, "offset": cert.line.offset},
     }
-    _emit(doc)
-    return 0 if unimodal else 1
+    if args.show_map:
+        body["map"] = [
+            {"source": [list(v) for v in src_path], "image": [list(v) for v in img]}
+            for src_path, img in cert.mapping
+        ]
+    return body, criteria.monotone_injection_holds(cert)
+
+
+def _cmd_paths_sagan(args) -> Result:
+    seq = pathlab.sagan_sequence(args.n, args.k)
+    unimodal = polycore.is_unimodal(IntPoly(seq))
+    body = {"n": args.n, "k": args.k, "sequence": [str(c) for c in seq], "unimodal": unimodal}
+    return body, unimodal
 
 
 # -- the one-document report --------------------------------------------------------------
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> Result:
+    amax, bmax = _box_range(args)
     # The poset and path checks run first, so that their enumerations peak
     # before the audit objects are alive rather than on top of them.
     sperner = posetlab.max_antichain(4)
@@ -351,9 +303,9 @@ def _cmd_report(args) -> int:
         "binomial_product_sequences_unimodal": criteria.sagan_sequences_hold(16),
     }
     paths["pass"] = all(paths.values())
-    grid = criteria.gaussian_grid(args.amax, args.bmax, args.budget)
-    audits = injectlab.audit_all(args.amax, args.bmax, budget=args.budget)
-    claims = injectlab.verify_claimed_witnesses(args.amax, args.bmax, args.budget)
+    grid = criteria.gaussian_grid(amax, bmax, args.budget)
+    audits = injectlab.audit_all(amax, bmax, budget=args.budget)
+    claims = injectlab.verify_claimed_witnesses(amax, bmax, args.budget)
     sections = {
         "gaussian": {"grid": grid, "pass": criteria.gaussian_grid_holds(grid)},
         "injections": {
@@ -364,18 +316,9 @@ def _cmd_report(args) -> int:
         "posets": posets,
         "paths": paths,
     }
-    # Dropped before serialising, where the report's memory peaks.
-    del audits, claims
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": "report",
-        "amax": args.amax,
-        "bmax": args.bmax,
-        "sections": sections,
-        "pass": all(s["pass"] for s in sections.values()),
-    }
-    _emit(doc, args.out)
-    return 0 if doc["pass"] else 1
+    holds = all(s["pass"] for s in sections.values())
+    # The audit objects die with this frame, before main serialises.
+    return {"amax": amax, "bmax": bmax, "sections": sections, "pass": holds}, holds
 
 
 # -- parser ---------------------------------------------------------------------------------
@@ -459,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     sagan = psub.add_parser("sagan", help="binomial-product sequence")
     sagan.add_argument("n", type=int)
     sagan.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_paths)
+    fab.set_defaults(handler=_cmd_paths_fab)
+    mono.set_defaults(handler=_cmd_paths_monotone)
+    sagan.set_defaults(handler=_cmd_paths_sagan)
 
     p = sub.add_parser("report", help="full verification run as one JSON document")
     p.add_argument("--amax", type=int, default=6)
@@ -482,13 +427,17 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.handler(args)
+        body, holds = args.handler(args)
+        if body is not None:
+            command = f"paths {args.paths_command}" if args.command == "paths" else args.command
+            _emit({"v": SCHEMA_VERSION, "command": command, **body}, getattr(args, "out", None))
     except EnumerationBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (GausslabError, ValueError) as exc:
+    except (GausslabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if holds else 1
 
 
 if __name__ == "__main__":

@@ -132,40 +132,59 @@ def stirling_rows_hold(nmax: int) -> bool:
     return True
 
 
+def eulerian_checks(poly: IntPoly, n: int) -> dict[str, bool]:
+    """The certificates of A_n: palindromic, unimodal, real-rooted, coefficients
+    summing to n!, and gamma-nonnegative (false unless palindromic)."""
+    palindromic = polycore.is_palindromic(poly, n - 1)
+    return {
+        "palindromic": palindromic,
+        "unimodal": polycore.is_unimodal(poly),
+        "real_rooted": polycore.is_real_rooted(poly),
+        "coefficient_sum_is_factorial": poly.evaluate(1) == math.factorial(n),
+        "gamma_nonnegative": palindromic and polycore.is_gamma_nonnegative(poly, n - 1),
+    }
+
+
 def eulerian_suite_holds(nmax: int) -> bool:
-    """A_n, n = 1..nmax, is palindromic, gamma-nonnegative, real-rooted and
-    unimodal, and its coefficients sum to n!."""
-    for n in range(1, nmax + 1):
-        poly = posetlab.eulerian(n)
-        if not (
-            polycore.is_palindromic(poly, n - 1)
-            and polycore.is_gamma_nonnegative(poly, n - 1)
-            and polycore.is_real_rooted(poly)
-            and polycore.is_unimodal(poly)
-            and poly.evaluate(1) == math.factorial(n)
-        ):
-            return False
-    return True
+    """Every certificate of ``eulerian_checks`` holds for A_n, n = 1..nmax."""
+    return all(
+        all(eulerian_checks(posetlab.eulerian(n), n).values()) for n in range(1, nmax + 1)
+    )
+
+
+def free_walk_counts(a: int, b: int, steps: int) -> tuple[int, int]:
+    """The walk count to (a, b) in ``steps`` steps by the DP and by the closed form."""
+    return pathlab.count_free(a, b, steps), pathlab.count_free_closed_form(a, b, steps)
 
 
 def free_walks_hold(side: int, nmax: int) -> bool:
-    """The walk-count DP equals the closed form for endpoints 1 <= a, b <= side and
-    every step count 1..nmax of the endpoint's parity."""
-    return all(
-        pathlab.count_free(a, b, steps) == pathlab.count_free_closed_form(a, b, steps)
+    """The two walk counts agree for endpoints 1 <= a, b <= side and every step
+    count 1..nmax of the endpoint's parity."""
+    counts = (
+        free_walk_counts(a, b, steps)
         for a in range(1, side + 1)
         for b in range(1, side + 1)
         for steps in range(1, nmax + 1)
         if (steps - a - b) % 2 == 0
     )
+    return all(dp == closed for dp, closed in counts)
+
+
+def monotone_injection_holds(cert: pathlab.MonotoneInjection) -> bool:
+    """The reflection maps all C(n, k) paths of level k injectively into level k+1."""
+    return (
+        cert.injective
+        and cert.images_in_target
+        and cert.source_count == math.comb(cert.n, cert.k)
+    )
 
 
 def monotone_injections_hold(nmax: int) -> bool:
-    """For n = 2..nmax and each level k below the middle, the reflection maps all
-    C(n, k) paths injectively into level k+1."""
-    certs = (pathlab.monotone_injection(n, k) for n in range(2, nmax + 1) for k in range(n // 2))
+    """``monotone_injection_holds`` for n = 2..nmax and each level k below the middle."""
     return all(
-        c.injective and c.images_in_target and c.source_count == math.comb(c.n, c.k) for c in certs
+        monotone_injection_holds(pathlab.monotone_injection(n, k))
+        for n in range(2, nmax + 1)
+        for k in range(n // 2)
     )
 
 

@@ -166,6 +166,8 @@ def max_antichain(n: int, max_n: int = 5) -> SpernerSearch:
 
 def lym_sum(antichain: Iterable[Iterable[int]], n: int) -> Fraction:
     """Exact sum of 1 / C(n, |A|) over a verified antichain of subsets of {1..n}."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     masks = sorted({mask_of(a, n) for a in antichain})
     for s, t in itertools.combinations(masks, 2):
         if _comparable(s, t):
@@ -241,43 +243,46 @@ def inversion_polynomial(n: int) -> IntPoly:
 
 
 def stirling2(n: int, k: int) -> int:
-    """S(n, k) by the two-term recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
+    """S(n, k), read from the row ``stirling_row(n)``."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return stirling_row(n)[k - 1]
+
+
+def stirling_row(n: int) -> list[int]:
+    """(S(n, 1), ..., S(n, n)) by the recurrence S(m,k) = k S(m-1,k) + S(m-1,k-1),
+    one row of the triangle at a time."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     row = [1]  # S(1, 1)
     for m in range(2, n + 1):
         row = [
             (j + 1) * (row[j] if j < len(row) else 0) + (row[j - 1] if j >= 1 else 0)
             for j in range(m)
         ]
-    return row[k - 1]
+    return row
 
 
-def stirling_row(n: int) -> list[int]:
-    """(S(n, 1), ..., S(n, n))."""
-    return [stirling2(n, k) for k in range(1, n + 1)]
-
-
-def set_partitions(n: int) -> list[SetPartition]:
-    """All partitions of {1..n} in canonical form (blocks sorted by minimum)."""
+def set_partitions(n: int) -> Iterator[SetPartition]:
+    """Every partition of {1..n} in canonical form (blocks sorted by minimum),
+    generated one at a time."""
     if n < 1:
         raise ValueError("need n >= 1")
-    out: list[SetPartition] = []
+    blocks: list[list[int]] = []
 
-    def rec(i: int, blocks: list[list[int]]) -> None:
+    def rec(i: int) -> Iterator[SetPartition]:
         if i > n:
-            out.append(tuple(tuple(b) for b in blocks))
+            yield tuple(tuple(b) for b in blocks)
             return
         for b in blocks:
             b.append(i)
-            rec(i + 1, blocks)
+            yield from rec(i + 1)
             b.pop()
         blocks.append([i])
-        rec(i + 1, blocks)
+        yield from rec(i + 1)
         blocks.pop()
 
-    rec(1, [])
-    return out
+    return rec(1)
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:

@@ -1,11 +1,16 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gausslab import cli, injectlab, pathlab, posetlab, qgauss
+from gausslab import cli, criteria, injectlab, pathlab, polycore, posetlab, qgauss
 from gausslab.cli import main
 
 
@@ -265,6 +270,55 @@ class TestReportCanFail:
         }
 
 
+def _never_real_rooted(monkeypatch):
+    monkeypatch.setattr(polycore, "is_real_rooted", lambda poly: False)
+
+
+def _sources_miscounted(monkeypatch):
+    # Source and image counts drop together, so only the C(n, k) check sees it.
+    built = pathlab.monotone_injection
+
+    def miscounted(n, k):
+        cert = built(n, k)
+        return dataclasses.replace(
+            cert, source_count=cert.source_count - 1, image_count=cert.image_count - 1
+        )
+
+    monkeypatch.setattr(pathlab, "monotone_injection", miscounted)
+
+
+def _one_maximum_too_many(monkeypatch):
+    search = posetlab.max_antichain
+
+    def miscounted(n, max_n=5):
+        found = search(n, max_n)
+        return dataclasses.replace(found, num_maximum=found.num_maximum + 1)
+
+    monkeypatch.setattr(posetlab, "max_antichain", miscounted)
+
+
+class TestSharedChecksCanFail:
+    @pytest.mark.parametrize(
+        "argv, range_check, fault",
+        [
+            (["eulerian", "4"], lambda: criteria.eulerian_suite_holds(4), _never_real_rooted),
+            (["paths", "fab", "2", "2", "4"], lambda: criteria.free_walks_hold(2, 4),
+             _closed_form_off_by_one),
+            (["paths", "monotone", "6", "2"], lambda: criteria.monotone_injections_hold(6),
+             _sources_miscounted),
+            (["sperner", "4", "--exhaustive"],
+             lambda: criteria.sperner_holds(posetlab.max_antichain(4), 4), _one_maximum_too_many),
+        ],
+    )
+    def test_one_fault_fails_the_subcommand_and_the_range_check(
+        self, capsys, monkeypatch, argv, range_check, fault
+    ):
+        fault(monkeypatch)
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert not range_check()
+
+
 class TestInputContract:
     @pytest.mark.parametrize(
         "coeffs", ["[[1]]", "[null]", "[true,1]", "[1.5]", '["1.5"]', '[" 1"]', '"12"']
@@ -317,6 +371,221 @@ class TestOneProcess:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+# One invocation per subcommand and mode: the sha256 of stdout + stderr and the
+# exit code, as the CLI printed them before its handlers shared one output path.
+GOLDEN = [
+    (["gauss", "5", "3"], 0,
+     "18d88997aaba130ec951e26ddc7f02f4ddd0e2dbd3a28aad7b08b831724cbdfd"),
+    (["gauss", "5", "3", "--method", "pascal"], 0,
+     "d8a48f0735a3734cf51f0a9c5d19b6bee83b1497ba4e8d6574109d1ae0dd71e4"),
+    (["gauss", "5", "3", "--method", "enum"], 0,
+     "bd6cfe939e72d002270fb770b4113cf6137930c52cc0865b9bfdd76c51cf6604"),
+    (["gauss", "5", "3", "--method", "koh"], 0,
+     "b22607dfbfc1cdbd27e7094630032b8899e8f6a527bd8a540b0ee43d50ed18a9"),
+    (["gauss", "4", "2", "--method", "koh", "--terms"], 0,
+     "657413caef56b4472149882b88effa9557fcea6d126d8a9e06ffa4f8051ad625"),
+    (["gauss", "4", "2", "--method", "koh", "--koh-rule", "stated"], 0,
+     "a65226b292cc0b70960e23df60236acd11270f48a0eabee98c766b33c854c5d5"),
+    (["gauss", "-1", "3"], 2,
+     "347b3488a601d070a39770f2d266953a5566accb5cafce85556fb77cb41a5d7d"),
+    (["gauss", "12", "12", "--method", "enum", "--budget", "100"], 3,
+     "327933288041d61d07801f8501b0ad522470005d40711bcceef33aedc4e3b157"),
+    (["check", '["1","3","5","3","1"]'], 1,
+     "a284e1eda75eca92f5c15dc6088bef63a91e8ba282c29d4767e42bcb7eb2753f"),
+    (["check", '["1","3","5","3","1"]', "--unimodal"], 0,
+     "f7d5d3cf9fe15b37873a893be3b9f02aca116b04b0a0f75cd717ec648a58c77a"),
+    (["check", '["1","1","2","1","1"]', "--log-concave"], 1,
+     "310f09fad938346b5fa98710549cdd480236d5b9bb93513a83b13866852b4ed2"),
+    (["check", '["1","3","5","3","1"]', "--palindromic"], 0,
+     "b3de1954d7cb2b2b65712bacb3d75fe94ec3436d6da5de95e76bf788ad9af940"),
+    (["check", '["1","3","5","3","1"]', "--gamma"], 1,
+     "264c1e83a526c443ad4aca02a162d6defe951c8c01b0a302a5a6ed6b570a1b50"),
+    (["check", '["1","3","5","3","1"]', "--real-rooted"], 1,
+     "bcc8d4adc6d4e13b104250969468b9821d7f98caf1d7d6a45d0c9cfd59d094a6"),
+    (["check", '["1","1"]', "--center", "3", "--gamma"], 1,
+     "5be831a76562125656af7c0d2913831df957c64cbdc2c79a8dd18d93b3e5bc42"),
+    (["check", '["1","11","11","1"]'], 0,
+     "de408bbf54995ed583cc973e3f2a9601f07202aee972895bb6be710f163f1e51"),
+    (["check", "not-json"], 2,
+     "26ed9b2a26473764f82e18a8da58c232a2cc19ae24e61f9fb079a264e820121e"),
+    (["injection-audit", "--amax", "3", "--bmax", "3"], 0,
+     "bccb19fd29c7fd20df3236b28eacbc613a70829be2c2b96c7b9206b76d888147"),
+    (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--verify-claims"], 0,
+     "7750d72f2ca93988aae4a8d46a59c697a70707b1454ae4f73a4a50da24b3d874"),
+    (["injection-audit", "--amax", "3", "--bmax", "3", "--table"], 0,
+     "25a13d7e0aed141cf0d5c930bb019c8b91291cb61d2822bb63ff2e2a7b3ff6cf"),
+    (["injection-audit", "--amax", "4", "--bmax", "4", "--verify-claims", "--table"], 0,
+     "77d46ade49dfa859157e8efdcb37af1df8741b2a9dd65b798949a068c695aa59"),
+    (["sperner", "5"], 0,
+     "6d14095e3f2e8519c67245a655c6903ad261fcf05cc83b37fbcc0f13d30cf167"),
+    (["sperner", "4", "--exhaustive"], 0,
+     "43aee2820ba5df16c47e503ff330f32973d9f078b098a24b4f98b7b532de96ee"),
+    (["sperner", "6", "--exhaustive"], 3,
+     "cb2a259611f570864698c2f1e01738dfe0429444ac50f2fc0c945e3814a4b5dd"),
+    (["lym", "3", "[[1,2],[3]]"], 0,
+     "354751c10d962ff15dbe9eeee65e6b4664147ed5b886397fdab3916bf3739391"),
+    (["lym", "4", "[[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]"], 0,
+     "af72f42e1479fa7f8e0281d59cd2e548a027ee999f6c15bf1133bc6930b9d0dc"),
+    (["lym", "3", "[[1],[1,2]]"], 2,
+     "84567f2718540f93cb87a11ea62822d36a6aa165dcfae2569994fde39ccf9458"),
+    (["bruhat", "4"], 0,
+     "35846382b7bf6af983fa3390461166fdb8f836d497e018b0ccbdf71296f94fef"),
+    (["stirling", "6"], 0,
+     "83bb8679e87f25614b422c4ea6ca447cae6e8ca1fac5973c6cd371835e0b2fca"),
+    (["eulerian", "6"], 0,
+     "ff6b3df8814bf2b84fec91822d7b3996b5f1b13303addc8a02d0b7cd8a1e64aa"),
+    (["paths", "fab", "2", "2", "4"], 0,
+     "7e1fb03b21bdcf74e81aa55f78f65c8b2b996ebed9e65bae3ed6af1a18cbba04"),
+    (["paths", "fab", "1", "1", "3"], 2,
+     "71e73763fc965f649f4a4e979140c74cbb30beb45e27dbb770d64dfdda239cca"),
+    (["paths", "monotone", "4", "1", "--show-map"], 0,
+     "b1abf8889484a3e15050c216bd07d0a82365630110e1bdc6debe95a65652ee01"),
+    (["paths", "monotone", "6", "2"], 0,
+     "3cedded20294dbfe18ce4e5bfdb48fe3c3f69e4e352e280ddf7717eefec14e79"),
+    (["paths", "sagan", "4", "4"], 0,
+     "8a1b0690c103be38e18624a0cb7db87c2719fa6eeb174bd6cbdb5f6fbc545095"),
+    (["report", "--amax", "4", "--bmax", "4"], 0,
+     "5a2d05e6930b34f00c36295385d365fc8d63f9c9d77d77314a66d7b9d536765e"),
+    (["report"], 0,
+     "249b28ab42a2dc4f8bf5fa719960bea2caa2ba9756a8d7cc1dab589058ffb8b2"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv, code, digest", GOLDEN)
+    def test_output_and_exit_code_are_pinned(self, capsys, argv, code, digest):
+        assert main(list(argv)) == code
+        captured = capsys.readouterr()
+        assert hashlib.sha256((captured.out + captured.err).encode()).hexdigest() == digest
+
+    def test_report_out_writes_the_stdout_document(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        assert main(["report", "--amax", "4", "--bmax", "4", "--out", str(out_file)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "5a2d05e6930b34f00c36295385d365fc8d63f9c9d77d77314a66d7b9d536765e"
+        )
+
+
+class TestExitTwo:
+    def test_out_into_a_missing_directory(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "report.json"
+        code = main(["report", "--amax", "1", "--bmax", "1", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_onto_a_directory_leaves_no_temp_file(self, capsys, tmp_path):
+        (tmp_path / "dir").mkdir()
+        code = main(["report", "--amax", "1", "--bmax", "1", "--out", str(tmp_path / "dir")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--amax", "0", "--bmax", "0"],
+            ["report", "--amax", "-2", "--bmax", "3"],
+            ["report", "--amax", "3", "--bmax", "0"],
+            ["injection-audit", "--amax", "0", "--bmax", "0"],
+            ["injection-audit", "--amax", "4", "--bmax", "-1"],
+            ["stirling", "0"],
+            ["stirling", "-3"],
+            ["lym", "-1", "[]"],
+        ],
+    )
+    def test_empty_or_meaningless_range(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need ") and captured.err.count("\n") == 1
+
+
+def _argv(*parts):
+    """Concatenate fixed words and strategies that draw lists of words."""
+    groups = [st.just([p]) if isinstance(p, str) else p for p in parts]
+    return st.tuples(*groups).map(lambda drawn: [word for group in drawn for word in group])
+
+
+def _opt(*words):
+    return st.sampled_from([[], list(words)])
+
+
+def _n(lo=-3, hi=6):
+    return st.integers(lo, hi).map(lambda x: [str(x)])
+
+
+def _flag(name, lo=-3, hi=6):
+    return st.one_of(st.just([]), st.integers(lo, hi).map(lambda x: [name, str(x)]))
+
+
+_METHOD = st.sampled_from([[], ["--method", "pascal"], ["--method", "enum"], ["--method", "koh"]])
+_RULE = st.sampled_from(["all", "1", "2", "3", "4"]).map(lambda rule: ["--rule", rule])
+_COEFFS = st.lists(st.one_of(st.integers(-3, 6), st.integers(-3, 6).map(str)), max_size=6)
+_FAMILY = st.lists(st.lists(st.integers(-3, 6), max_size=3), max_size=4)
+
+
+def _json(values):
+    return values.map(lambda value: [json.dumps(value)])
+
+
+# Every subcommand and mode, with integer arguments around each domain's edge.
+ARGVS = st.one_of(
+    _argv("gauss", _n(), _n(), _METHOD, _opt("--terms"), _opt("--koh-rule", "stated"),
+          _flag("--budget")),
+    _argv("check", _json(_COEFFS), _flag("--center"), _opt("--unimodal"), _opt("--log-concave"),
+          _opt("--palindromic"), _opt("--gamma"), _opt("--real-rooted")),
+    _argv("injection-audit", _RULE, _flag("--amax", hi=3), _flag("--bmax", hi=3),
+          _opt("--verify-claims"), _opt("--table"), _flag("--budget", hi=200)),
+    _argv("sperner", _n(), _opt("--exhaustive"), _flag("--max-exhaustive", hi=5)),
+    _argv("lym", _n(), _json(_FAMILY)),
+    _argv("bruhat", _n()),
+    _argv("stirling", _n()),
+    _argv("eulerian", _n()),
+    _argv("paths", "fab", _n(), _n(), _n()),
+    _argv("paths", "monotone", _n(), _n(), _opt("--show-map")),
+    _argv("paths", "sagan", _n(), _n()),
+    _argv("report", "--amax", _n(hi=3), "--bmax", _n(hi=3)),
+)
+
+
+def _leaves(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [leaf for item in doc for leaf in _leaves(item)]
+    return [doc]
+
+
+class TestFuzzedContract:
+    @settings(max_examples=150, deadline=None)
+    @given(ARGVS)
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2  # argparse's own usage error
+            return
+        assert code in (0, 1, 2, 3)
+        if code >= 2:
+            assert out.getvalue() == ""
+            prefix = "error: " if code == 2 else "budget exceeded: "
+            assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
+            return
+        assert err.getvalue() == ""
+        if "--table" in argv:
+            assert code == 0 and out.getvalue()
+            return
+        doc = json.loads(out.getvalue())  # exactly one JSON document
+        if code == 1:
+            assert any(leaf is False for leaf in _leaves(doc))
 
 
 class TestUsage:

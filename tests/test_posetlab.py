@@ -97,6 +97,10 @@ class TestLym:
     def test_empty(self):
         assert lym_sum([], 3) == 0
 
+    def test_negative_ground_set(self):
+        with pytest.raises(ValueError):
+            lym_sum([], -1)
+
     def test_exhaustive_bound_and_equality_set(self):
         # The bound holds for every antichain; equality exactly on full layers.
         for n in range(1, 5):
@@ -187,6 +191,29 @@ class TestStirling:
 
     def test_polynomial(self):
         assert IntPoly([0] + stirling_row(4)).coeffs == (0, 1, 7, 6, 1)
+
+    def test_row_range(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                stirling_row(n)
+
+    def test_rows_against_inclusion_exclusion(self):
+        # S(n, k) = (1/k!) sum_j (-1)^j C(k, j) (k - j)^n
+        for n in (1, 2, 9, 60):
+            explicit = [
+                sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+                // math.factorial(k)
+                for k in range(1, n + 1)
+            ]
+            assert stirling_row(n) == explicit
+            assert [stirling2(n, k) for k in range(1, n + 1)] == explicit
+
+    def test_set_partitions_are_generated_lazily(self):
+        partitions = set_partitions(10)
+        assert iter(partitions) is partitions
+        assert next(partitions) == (tuple(range(1, 11)),)
+        with pytest.raises(ValueError):
+            set_partitions(0)
 
 
 class TestPartitionLattice:
