@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -33,14 +34,26 @@ SCHEMA_VERSION = 1
 Result = tuple[dict | None, bool]
 
 
+def _file_mode(path: str) -> int:
+    """The mode a replaced file keeps, or what ``open`` would give a new one."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _emit(doc: dict, out: str | None = None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
     try:
+        mode = _file_mode(out)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".report-")
         try:
+            os.chmod(tmp, mode)
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
             os.replace(tmp, out)
@@ -339,7 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--koh-rule", choices=["stated", "calibrated"], default="calibrated")
     p.add_argument("--terms", action="store_true", help="dump the per-term breakdown")
-    p.add_argument("--budget", type=int, default=injectlab.DEFAULT_ENUMERATION_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=injectlab.DEFAULT_ENUMERATION_BUDGET,
+        help="most box partitions to enumerate; only --method enum obeys it, "
+        "the other routes ignore it",
+    )
     p.set_defaults(handler=_cmd_gauss)
 
     p = sub.add_parser("check", help="coefficient-shape checks for a polynomial")

@@ -25,6 +25,10 @@ class NegativeExponent(GausslabError):
     """A term-assembly rule produced a negative monomial prefactor exponent."""
 
 
+class SlotOverflow(GausslabError):
+    """A packed-integer product's coefficients did not fit their slots."""
+
+
 class EnumerationBudgetExceeded(GausslabError):
     """Requested enumeration is larger than the configured budget."""
 

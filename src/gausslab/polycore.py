@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -266,6 +268,57 @@ def div_exact_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
         if c[k] != shifted[k]:
             raise NonExactDivision(f"X^{m} - 1 does not divide: coefficient {k} is {c[k]}")
     return IntPoly(q)
+
+
+# -- packed integers (Kronecker substitution) ----------------------------------
+
+
+# Native unsigned formats by size, for reading whole slots at once; a native
+# read matches pack's byte order only on little-endian machines.
+_NATIVE_SLOTS = {struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per slot that hold every integer from 0 to ``bound``.
+
+    >>> slot_bytes(255), slot_bytes(256)
+    (1, 2)
+    """
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def pack(coeffs: Sequence[int], nb: int) -> int:
+    """The polynomial with these coefficients evaluated at X = 2^(8 nb).
+
+    Each coefficient takes one slot of ``nb`` bytes, lowest degree first, so
+    every coefficient must lie in 0 .. 2^(8 nb) - 1; anything else raises
+    ValueError.
+
+    >>> pack([1, 2, 3], 1) == 1 + 2 * 256 + 3 * 256**2
+    True
+    """
+    try:
+        return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in coeffs), "little")
+    except OverflowError as exc:
+        raise ValueError(f"coefficient does not fit a {nb}-byte slot") from exc
+
+
+def unpack(n: int, nb: int) -> list[int]:
+    """The slots of ``n >= 0``, ``nb`` bytes each, lowest first: inverse of :func:`pack`.
+
+    The list stops at the highest nonzero slot.  A packed value whose true
+    coefficients overflowed their slots unpacks to carried digits whose sum
+    is smaller than the coefficients' sum, which is how callers detect it.
+
+    >>> unpack(pack([1, 2, 3, 0], 1), 1)
+    [1, 2, 3]
+    """
+    size = -(-n.bit_length() // (8 * nb)) * nb
+    data = n.to_bytes(size, "little")
+    fmt = _NATIVE_SLOTS.get(nb)
+    if fmt is not None:
+        return memoryview(data).cast(fmt).tolist()
+    return [int.from_bytes(data[k:k + nb], "little") for k in range(0, size, nb)]
 
 
 # -- sequence shape tests ----------------------------------------------------

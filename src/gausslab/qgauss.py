@@ -9,13 +9,20 @@ all four is the point of this module.
 from __future__ import annotations
 
 import enum
-import threading
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import injectlab
-from .errors import NegativeExponent
-from .polycore import IntPoly, darga, div_exact_xm_minus_one, mul_xm_minus_one
+from .errors import NegativeExponent, SlotOverflow
+from .polycore import (
+    IntPoly,
+    darga,
+    div_exact_xm_minus_one,
+    mul_xm_minus_one,
+    slot_bytes,
+    unpack,
+)
 
 DEFAULT_ENUMERATION_BUDGET = injectlab.DEFAULT_ENUMERATION_BUDGET
 
@@ -62,35 +69,52 @@ def gaussian_quotient(a: int, b: int) -> IntPoly:
     return out
 
 
-_pascal_cache: dict[tuple[int, int], IntPoly] = {}
-_pascal_lock = threading.Lock()
+def _pascal_packed(a: int, b: int, nb: int) -> int:
+    """G(a, b) at X = 2^(8 nb), by the q-Pascal recurrence on one rolling row.
+
+    After pass b' the row holds G(a', b') for a' = 0..a, each packed with
+    ``nb`` bytes per coefficient, so G(a', b') = G(a'-1, b') + X^a' G(a', b'-1)
+    is one shift-add per cell.  The caller picks ``nb`` and checks the
+    unpacked coefficients, which are exact only if none outgrew its slot.
+    """
+    row = [1] * (a + 1)
+    shifts = [8 * nb * k for k in range(a + 1)]
+    for _ in range(b):
+        for k in range(1, a + 1):
+            row[k] = row[k - 1] + (row[k] << shifts[k])
+    return row[a]
+
+
+def _unpack_checked(n: int, nb: int, total: int, what: str) -> list[int]:
+    """Unpack ``n`` and require its coefficients to sum to ``total``.
+
+    Every coefficient of a correct result is at most ``total``, and a
+    coefficient that outgrew its slot lowers the sum of the unpacked slots,
+    so slots too narrow for the result cannot pass.
+    """
+    coeffs = unpack(n, nb)
+    if sum(coeffs) != total:
+        raise SlotOverflow(
+            f"{what}: packed coefficients sum to {sum(coeffs)}, not {total}, "
+            f"at {nb} bytes a slot"
+        )
+    return coeffs
 
 
 def gaussian_pascal(a: int, b: int) -> IntPoly:
     """Same polynomial via the recurrence G(a,b) = G(a-1,b) + X^a G(a,b-1).
 
-    Memoized; the table is filled under a lock and entries are immutable, so
-    concurrent readers are safe.
+    The recurrence runs on packed integers (see :func:`_pascal_packed`) with
+    slots wide enough for C(a+b, a), which bounds every coefficient of every
+    G(a', b') it passes through, and the result is unpacked once.  It keeps
+    no state between calls.  Raises SlotOverflow if the coefficients do not
+    sum to C(a+b, a).
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
-    if a == 0 or b == 0:
-        return IntPoly.one()
-    key = (a, b)
-    cached = _pascal_cache.get(key)
-    if cached is not None:
-        return cached
-    with _pascal_lock:
-        # Iterative fill keeps recursion depth flat for large boxes; the
-        # ascending order guarantees both neighbours are already present.
-        for aa in range(1, a + 1):
-            for bb in range(1, b + 1):
-                if (aa, bb) in _pascal_cache:
-                    continue
-                left = _pascal_cache[(aa - 1, bb)] if aa > 1 else IntPoly.one()
-                down = _pascal_cache[(aa, bb - 1)] if bb > 1 else IntPoly.one()
-                _pascal_cache[(aa, bb)] = left + down.shift(aa)
-        return _pascal_cache[key]
+    total = math.comb(a + b, a)
+    nb = slot_bytes(total)
+    return IntPoly(_unpack_checked(_pascal_packed(a, b, nb), nb, total, f"G({a},{b})"))
 
 
 def level_counts(
@@ -260,7 +284,14 @@ def koh_terms(
     *,
     argument: Optional[ArgumentFormula] = None,
 ) -> list[KohTerm]:
-    """Assemble one term per multiplicity vector (see :class:`KohTerm`)."""
+    """Assemble one term per multiplicity vector (see :class:`KohTerm`).
+
+    A term's live factors (b_i > 0) come from the q-Pascal recurrence as
+    packed integers at one slot width, bounded by the product of their
+    C(a_i + b_i, a_i), and are multiplied while packed; the product is
+    unpacked once.  Raises SlotOverflow if its coefficients do not sum to
+    that product.
+    """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
     arg = _resolve_argument(rule, argument)
@@ -282,11 +313,14 @@ def koh_terms(
         if negatives:
             poly = IntPoly.zero()
         else:
-            poly = IntPoly.one()
-            for a_i, b_i in pairs:
-                if b_i > 0:
-                    poly = poly * gaussian_pascal(a_i, b_i)
-            poly = poly.shift(exponent)
+            live = [(a_i, b_i) for a_i, b_i in pairs if b_i > 0]
+            total = math.prod(math.comb(a_i + b_i, a_i) for a_i, b_i in live)
+            nb = slot_bytes(total)
+            packed = 1
+            for a_i, b_i in live:
+                packed *= _pascal_packed(a_i, b_i, nb)
+            coeffs = _unpack_checked(packed, nb, total, f"term {dv.d} of box ({a},{b})")
+            poly = IntPoly([0] * exponent + coeffs)
         terms.append(
             KohTerm(
                 dv.d,

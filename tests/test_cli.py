@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gausslab
 from gausslab import cli, criteria, injectlab, pathlab, polycore, posetlab, qgauss
 from gausslab.cli import main
 
@@ -373,6 +376,40 @@ class TestOneProcess:
         assert cli.build_parser() is not cli.build_parser()
 
 
+class TestPythonDashM:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss", "5", "3", "--method", "koh"],
+            ["check", '["1","3","5","3","1"]'],
+            ["gauss", "-1", "3"],
+        ],
+    )
+    def test_runs_main_with_its_output_and_exit_code(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gausslab.__file__)))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gausslab", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, captured.out, captured.err)
+
+
+class TestSlotOverflowExitsTwo:
+    def test_gauss_40_40_pascal(self, capsys, monkeypatch):
+        # Slots one byte narrower than the largest coefficient of G(40, 40) needs.
+        width = polycore.slot_bytes(max(qgauss.gaussian_quotient(40, 40).coeffs)) - 1
+        monkeypatch.setattr(qgauss, "slot_bytes", lambda bound: width)
+        code = main(["gauss", "40", "40", "--method", "pascal"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # One invocation per subcommand and mode: the sha256 of stdout + stderr and the
 # exit code, as the CLI printed them before its handlers shared one output path.
 GOLDEN = [
@@ -467,6 +504,28 @@ class TestGoldenOutput:
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
             "5a2d05e6930b34f00c36295385d365fc8d63f9c9d77d77314a66d7b9d536765e"
         )
+
+
+class TestOutFileMode:
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_file_follows_the_umask(self, capsys, tmp_path, umask_022):
+        out_file = tmp_path / "report.json"
+        assert main(["report", "--amax", "1", "--bmax", "1", "--out", str(out_file)]) == 0
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o644
+
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path, umask_022):
+        out_file = tmp_path / "report.json"
+        out_file.write_text("old\n")
+        out_file.chmod(0o640)
+        assert main(["report", "--amax", "1", "--bmax", "1", "--out", str(out_file)]) == 0
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o640
+        assert json.loads(out_file.read_text())["command"] == "report"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestExitTwo:

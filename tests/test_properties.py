@@ -23,8 +23,11 @@ from gausslab.polycore import (
     is_unimodal,
     mode,
     mul_xm_minus_one,
+    pack,
     shift_by_one,
     shifted_is_unimodal,
+    slot_bytes,
+    unpack,
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -118,6 +121,41 @@ def test_naive_convolution_oracle(a):
         for j, d in enumerate((2, -1, 3)):
             expected[i + j] += c * d
     assert f * g == IntPoly(expected)
+
+
+# -- packed integers ---------------------------------------------------------------
+
+slot_widths = st.integers(min_value=1, max_value=12)
+
+
+@given(slot_widths, st.data())
+def test_pack_unpack_round_trip(nb, data):
+    coeffs = data.draw(st.lists(st.integers(0, 256**nb - 1), max_size=12))
+    packed = pack(coeffs, nb)
+    assert packed == IntPoly(coeffs).evaluate(256**nb)
+    assert unpack(packed, nb) == list(IntPoly(coeffs).coeffs)
+    assert slot_bytes(max(coeffs, default=0)) <= nb
+
+
+@given(slot_widths, st.data())
+def test_pack_rejects_a_coefficient_outside_its_slot(nb, data):
+    coeffs = data.draw(st.lists(st.integers(0, 256**nb - 1), max_size=6))
+    bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=256**nb)))
+    position = data.draw(st.integers(0, len(coeffs)))
+    with pytest.raises(ValueError):
+        pack(coeffs[:position] + [bad] + coeffs[position:], nb)
+
+
+@given(slot_widths, st.data())
+def test_overflowed_slots_unpack_to_a_smaller_sum(nb, data):
+    # What the routes' slot-sum checks rest on: once any nonnegative
+    # coefficient outgrows its slot, the unpacked slots sum to less.
+    coeffs = data.draw(st.lists(st.integers(0, 256 ** (nb + 1)), min_size=1, max_size=8))
+    value = IntPoly(coeffs).evaluate(256**nb)
+    if max(coeffs) < 256**nb:
+        assert sum(unpack(value, nb)) == sum(coeffs)
+    else:
+        assert sum(unpack(value, nb)) < sum(coeffs)
 
 
 # -- palindromicity and gamma vectors -------------------------------------------

@@ -1,11 +1,14 @@
+import functools
 import math
+import tracemalloc
 
 import pytest
 
-from gausslab import injectlab
-from gausslab.errors import EnumerationBudgetExceeded
+from gausslab import injectlab, polycore, qgauss
+from gausslab.errors import EnumerationBudgetExceeded, SlotOverflow
 from gausslab.polycore import IntPoly, darga, is_darga_palindromic, is_log_concave
 from gausslab.qgauss import (
+    ARGUMENT_FORMULAS,
     ArgRule,
     CALIBRATION_CANDIDATES,
     MultiplicityVector,
@@ -216,3 +219,123 @@ class TestLevelSizesConsistency:
             for b in range(1, 5):
                 by_level = injectlab.levels(a, b)
                 assert [len(lv) for lv in by_level] == level_counts(a, b)
+
+
+# -- packed kernels against the IntPoly recurrence they replaced -----------------
+
+
+def _pascal_table(a, b):
+    """G(a', b') for every a' <= a, b' <= b, filled in a dict by IntPoly additions."""
+    table = {}
+    for aa in range(a + 1):
+        for bb in range(b + 1):
+            if aa == 0 or bb == 0:
+                table[aa, bb] = IntPoly.one()
+            else:
+                table[aa, bb] = table[aa - 1, bb] + table[aa, bb - 1].shift(aa)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _dict_pascal(a, b):
+    return _pascal_table(a, b)[a, b]
+
+
+def _schoolbook_terms(a, b, rule):
+    """Each term as (multiplicities, exponent, factors, poly, darga, negatives),
+    its live factors multiplied one by one with IntPoly's schoolbook product."""
+    arg = ARGUMENT_FORMULAS[rule]
+    out = []
+    for dv in koh_multiplicity_vectors(b):
+        exponent = koh_exponent(dv)
+        pairs = tuple((arg(a, b, dv.d, i), dv.d[b - 1 - i]) for i in range(b))
+        negatives = tuple(i for i, (a_i, b_i) in enumerate(pairs) if b_i > 0 and a_i < 0)
+        poly = IntPoly.zero()
+        if not negatives:
+            poly = IntPoly.one()
+            for a_i, b_i in pairs:
+                if b_i > 0:
+                    poly = poly * _dict_pascal(a_i, b_i)
+            poly = poly.shift(exponent)
+        out.append((dv.d, exponent, pairs, poly, None if poly.is_zero else darga(poly), negatives))
+    return out
+
+
+class TestPackedKernels:
+    def test_pascal_matches_the_dict_recurrence_up_to_30(self):
+        for (a, b), poly in _pascal_table(30, 30).items():
+            assert gaussian_pascal(a, b) == poly, (a, b)
+
+    @pytest.mark.parametrize("a, b", [(60, 60), (100, 3), (3, 100)])
+    def test_pascal_matches_the_dict_recurrence_on_large_boxes(self, a, b):
+        assert gaussian_pascal(a, b) == _pascal_table(a, b)[a, b]
+
+    @pytest.mark.parametrize("rule", list(ArgRule))
+    def test_every_koh_term_matches_the_schoolbook_assembly(self, rule):
+        for a in range(10):
+            for b in range(10):
+                got = [
+                    (t.multiplicities, t.exponent, t.factors, t.poly, t.darga,
+                     t.negative_factor_indexes)
+                    for t in koh_terms(a, b, rule)
+                ]
+                assert got == _schoolbook_terms(a, b, rule), (a, b, rule)
+
+    def test_keeps_no_module_level_table(self):
+        assert not hasattr(qgauss, "_pascal_cache")
+        assert not hasattr(qgauss, "_pascal_lock")
+        assert "threading" not in vars(qgauss)
+
+        def tables():
+            return {
+                name: repr(value)
+                for name, value in vars(qgauss).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = tables()
+        gaussian_pascal(12, 11)
+        koh_sum(7, 6)
+        assert tables() == before
+
+    def test_pascal_60_60_peak_memory(self):
+        tracemalloc.start()
+        try:
+            gaussian_pascal(60, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def narrow_slots(monkeypatch, widest):
+    """Give every packed product slots one byte narrower than ``widest`` needs.
+
+    The width for the routes' bound (C(a+b, a), or a term's product of them)
+    can exceed what the largest coefficient needs by a byte or more, so
+    taking one byte off it may still be exact; this width must overflow.
+    """
+    width = polycore.slot_bytes(widest) - 1
+    assert width >= 1
+    monkeypatch.setattr(qgauss, "slot_bytes", lambda bound: width)
+
+
+class TestSlotSumChecksCanFail:
+    def test_pascal(self, monkeypatch):
+        narrow_slots(monkeypatch, max(gaussian_quotient(40, 40).coeffs))
+        with pytest.raises(SlotOverflow):
+            gaussian_pascal(40, 40)
+
+    def test_koh(self, monkeypatch):
+        widest = max(max(t.poly.coeffs) for t in koh_terms(12, 12) if not t.vanishes)
+        narrow_slots(monkeypatch, widest)
+        with pytest.raises(SlotOverflow):
+            koh_terms(12, 12)
+
+    def test_exact_width_passes(self, monkeypatch):
+        # The checks reject overflow, not narrow slots: one byte more than the
+        # failing width gives the exact polynomial.
+        expected = gaussian_quotient(40, 40)
+        width = polycore.slot_bytes(max(expected.coeffs))
+        monkeypatch.setattr(qgauss, "slot_bytes", lambda bound: width)
+        assert gaussian_pascal(40, 40) == expected
