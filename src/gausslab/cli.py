@@ -149,10 +149,7 @@ def _cmd_injection_audit(args) -> Result:
     else:
         rules = (injectlab.RULE_BY_NUMBER[int(args.rule)],)
     audits = injectlab.audit_all(amax, bmax, rules, args.budget)
-    claims = []
-    if args.verify_claims:
-        claimed = injectlab.verify_claimed_witnesses(amax, bmax, args.budget)
-        claims = [c for c in claimed if c.rule in rules]
+    claims = [injectlab.check_claim(r) for r in audits] if args.verify_claims else []
     if args.table:
         for r in audits:
             print(_audit_row(r))
@@ -318,7 +315,7 @@ def _cmd_report(args) -> Result:
     paths["pass"] = all(paths.values())
     grid = criteria.gaussian_grid(amax, bmax, args.budget)
     audits = injectlab.audit_all(amax, bmax, budget=args.budget)
-    claims = injectlab.verify_claimed_witnesses(amax, bmax, args.budget)
+    claims = [injectlab.check_claim(r) for r in audits]
     sections = {
         "gaussian": {"grid": grid, "pass": criteria.gaussian_grid_holds(grid)},
         "injections": {

@@ -89,15 +89,6 @@ def enumerate_box(
     return [BoxedPartition(parts, box) for parts in iter_box(a, b)]
 
 
-def level(
-    a: int, b: int, k: int, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
-) -> list[BoxedPartition]:
-    """Partitions of weight k in the (a, b) box, lexicographically ordered."""
-    if not 0 <= k <= a * b:
-        raise ValueError(f"level {k} outside [0, {a * b}]")
-    return [p for p in enumerate_box(a, b, budget) if p.weight == k]
-
-
 def levels(
     a: int, b: int, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
 ) -> list[list[BoxedPartition]]:
@@ -315,7 +306,8 @@ def audit_all(
 # Each rule comes with a documented first-failure claim: a level and either a
 # colliding pair or a single input on which the selection is claimed to tie.
 # The checker replays each claim against the rule as defined and against the
-# audit engine, and reports the claim's status without patching anything.
+# first failure that the rule's audit of the box found, and reports the
+# claim's status without patching anything.
 
 
 class ClaimVerdict(enum.Enum):
@@ -387,14 +379,14 @@ def _claimed_witnesses(rule: InjectionRule, a: int, b: int):
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def check_claim(
-    rule: InjectionRule,
-    a: int,
-    b: int,
-    budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET,
-) -> WitnessCheck:
+def check_claim(first: AuditReport) -> WitnessCheck:
+    """Judge the documented claim for the rule and box that ``first`` audited.
+
+    ``first`` is recorded as the claim's first failure; no box is enumerated.
+    """
+    rule = first.rule
+    a, b = first.box
     claimed_k, witnesses, kind = _claimed_witnesses(rule, a, b)
-    first = audit(rule, a, b, budget)
     middle = (a * b) // 2
 
     def finish(verdict: ClaimVerdict, detail: str) -> WitnessCheck:
@@ -441,17 +433,3 @@ def check_claim(
         ClaimVerdict.NOT_A_FAILURE,
         f"distinct images {img_l.parts} and {img_d.parts}",
     )
-
-
-def verify_claimed_witnesses(
-    max_a: int = 6,
-    max_b: int = 6,
-    budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET,
-) -> list[WitnessCheck]:
-    """Replay every documented failure claim on every box up to (max_a, max_b)."""
-    return [
-        check_claim(rule, a, b, budget)
-        for rule in InjectionRule
-        for a in range(1, max_a + 1)
-        for b in range(1, max_b + 1)
-    ]

@@ -107,8 +107,8 @@ def test_criterion_09_sagan_sequences():
 def test_criterion_10_injection_audits():
     def body():
         audits = injectlab.audit_all(6, 6)
-        checks = injectlab.verify_claimed_witnesses(6, 6)
-        again = injectlab.verify_claimed_witnesses(6, 6)
+        checks = [injectlab.check_claim(r) for r in audits]
+        again = [injectlab.check_claim(r) for r in injectlab.audit_all(6, 6)]
         assert [c.verdict for c in checks] == [c.verdict for c in again]
         assert criteria.injections_hold(audits, checks)
 

@@ -126,6 +126,23 @@ class TestInjectionAudit:
         assert claim44["claimed_k"] == 6
         assert claim44["first_failure"]["k"] == 4
 
+    @pytest.mark.parametrize("argv, audits", [
+        (["report", "--amax", "4", "--bmax", "4"], 64),
+        (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--verify-claims"], 16),
+    ])
+    def test_each_box_is_audited_once(self, capsys, monkeypatch, argv, audits):
+        calls = []
+        audit = injectlab.audit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(injectlab, "audit", counted)
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == len(set(calls)) == audits
+
     def test_table_mode(self, capsys):
         code, out = run(capsys, "injection-audit", "--rule", "4", "--amax", "2", "--bmax", "2", "--table")
         assert code == 0

@@ -11,15 +11,14 @@ from gausslab.injectlab import (
     RULE_BY_NUMBER,
     apply_rule,
     audit,
+    audit_all,
     base_value,
     check_claim,
     conjugate,
     enumerate_box,
     increment_candidates,
-    level,
     levels,
     to_matrix,
-    verify_claimed_witnesses,
     wt,
 )
 
@@ -55,10 +54,8 @@ class TestEnumeration:
         assert parts == sorted(set(parts))
 
     def test_level(self):
-        assert [p.parts for p in level(2, 2, 2)] == [(1, 1), (2, 0)]
-        assert [p.parts for p in level(3, 4, 0)] == [(0, 0, 0)]
-        with pytest.raises(ValueError):
-            level(2, 2, 5)
+        assert [p.parts for p in levels(2, 2)[2]] == [(1, 1), (2, 0)]
+        assert [p.parts for p in levels(3, 4)[0]] == [(0, 0, 0)]
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetExceeded):
@@ -254,35 +251,41 @@ class TestClaims:
         assert RULE_BY_NUMBER[4] is InjectionRule.MAX_WT
 
     def test_column_fill_claim_confirmed_but_not_first(self):
-        c = check_claim(InjectionRule.COLUMN_FILL, 4, 4)
+        c = check_claim(audit(InjectionRule.COLUMN_FILL, 4, 4))
         assert c.verdict is ClaimVerdict.CONFIRMED
         assert c.claimed_level == 6
         assert c.first_failure.level == 4
         assert c.first_failure_at_claimed_level is False
 
     def test_max_wt_claim(self):
-        c = check_claim(InjectionRule.MAX_WT, 3, 3)
+        c = check_claim(audit(InjectionRule.MAX_WT, 3, 3))
         assert c.verdict is ClaimVerdict.CONFIRMED
         assert c.claimed_witnesses == ((1, 0, 0),)
 
     def test_min_base_value_claim_not_a_failure(self):
-        c = check_claim(InjectionRule.MIN_BASE_VALUE, 4, 4)
+        c = check_claim(audit(InjectionRule.MIN_BASE_VALUE, 4, 4))
         assert c.verdict is ClaimVerdict.NOT_A_FAILURE
         assert c.claimed_witnesses == ((4, 0, 0, 0), (3, 1, 0, 0))
 
     def test_row_fill_claim_witnesses_live_in_original_box(self):
-        c = check_claim(InjectionRule.ROW_FILL_TRANSPOSE, 4, 4)
+        c = check_claim(audit(InjectionRule.ROW_FILL_TRANSPOSE, 4, 4))
         assert c.verdict is ClaimVerdict.CONFIRMED
         for w in c.claimed_witnesses:
             assert sum(w) == c.claimed_level == 6
             BoxedPartition(w, (4, 4))  # must validate
 
     def test_small_boxes_not_applicable(self):
-        c = check_claim(InjectionRule.COLUMN_FILL, 2, 2)
+        c = check_claim(audit(InjectionRule.COLUMN_FILL, 2, 2))
         assert c.verdict is ClaimVerdict.NOT_APPLICABLE
 
+    def test_claim_judges_the_audit_it_is_given(self):
+        for r in audit_all(4, 4):
+            c = check_claim(r)
+            assert c.first_failure is r
+            assert (c.rule, c.box) == (r.rule, r.box)
+
     def test_grid_complete_and_stable(self):
-        once = verify_claimed_witnesses(4, 4)
-        twice = verify_claimed_witnesses(4, 4)
+        once = [check_claim(r) for r in audit_all(4, 4)]
+        twice = [check_claim(r) for r in audit_all(4, 4)]
         assert [c.verdict for c in once] == [c.verdict for c in twice]
         assert len(once) == 4 * 4 * 4
