@@ -10,7 +10,7 @@ Submodules:
 - ``injectlab``: partitions in a box, candidate level-raising rules, and
   exhaustive failure audits.
 - ``posetlab``: subset lattice with antichain search and exact LYM sums,
-  weak order on permutations, set-partition lattice, Eulerian polynomials.
+  weak order on permutations, set partitions, Eulerian polynomials.
 - ``pathlab``: lattice paths, grid-invariant reflection, path counts.
 - ``criteria``: the acceptance checks shared by the test suite and ``report``.
 - ``cli``: the command-line surface.

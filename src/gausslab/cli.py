@@ -313,11 +313,21 @@ def _cmd_report(args) -> Result:
         "binomial_product_sequences_unimodal": criteria.sagan_sequences_hold(16),
     }
     paths["pass"] = all(paths.values())
+    shapes = {
+        "g22_unimodal_palindromic_not_log_concave": criteria.g22_shape_holds(),
+        "shift_identity_weight_families_m_le_8": criteria.weight_families_shift_hold(8),
+    }
+    shapes["pass"] = all(shapes.values())
     grid = criteria.gaussian_grid(amax, bmax, args.budget)
+    calibrated = criteria.calibration_holds(6, 6)
     audits = injectlab.audit_all(amax, bmax, budget=args.budget)
     claims = [injectlab.check_claim(r) for r in audits]
     sections = {
-        "gaussian": {"grid": grid, "pass": criteria.gaussian_grid_holds(grid)},
+        "gaussian": {
+            "grid": grid,
+            "calibration_selects_calibrated_rule_a_b_le_6": calibrated,
+            "pass": criteria.gaussian_grid_holds(grid) and calibrated,
+        },
         "injections": {
             "audits": [r.to_json_dict() for r in audits],
             "claims": [c.to_json_dict() for c in claims],
@@ -325,6 +335,7 @@ def _cmd_report(args) -> Result:
         },
         "posets": posets,
         "paths": paths,
+        "shapes": shapes,
     }
     holds = all(s["pass"] for s in sections.values())
     # The audit objects die with this frame, before main serialises.

@@ -1,8 +1,8 @@
 """The acceptance checks that ``report`` also certifies, each written once.
 
-Each function takes its range as a parameter and returns the verdict, so the
-acceptance suite and ``gausslab report`` run the same check at their own
-ranges.
+Each function takes its range or input as a parameter and returns the
+verdict, so the acceptance suite and ``gausslab report`` run the same check
+at their own ranges.
 """
 
 from __future__ import annotations
@@ -11,8 +11,58 @@ import math
 from typing import Optional
 
 from . import pathlab, polycore, posetlab, qgauss
+from .errors import PreconditionViolated
 from .injectlab import AuditOutcome, AuditReport, ClaimVerdict, InjectionRule, WitnessCheck
 from .polycore import IntPoly
+
+
+def g22_shape_holds() -> bool:
+    """G(2, 2) = 1 + X + 2X^2 + X^3 + X^4 is unimodal and palindromic but not
+    log-concave, so unimodality cannot be had from log-concavity alone."""
+    g = qgauss.gaussian_quotient(2, 2)
+    return (
+        g.coeffs == (1, 1, 2, 1, 1)
+        and polycore.is_unimodal(g)
+        and polycore.is_palindromic(g, 4)
+        and not polycore.is_log_concave(g)
+    )
+
+
+def shift_identity_holds(f: IntPoly) -> bool:
+    """The Boros-Moll shift test on f of degree n with nonnegative nondecreasing
+    coefficients a_k: the weights w_k = a_k - a_(k-1) are nonnegative,
+    X f(X+1) = sum_k w_k P_(n,k)(X) exactly, and f(X+1) is unimodal.
+
+    False, not an error, when the coefficients are negative or decrease.
+    """
+    try:
+        weights = polycore.decompose_shift(f)
+        shifted_unimodal = polycore.shifted_is_unimodal(f)
+    except PreconditionViolated:
+        return False
+    total = IntPoly.zero()
+    for k, w in enumerate(weights):
+        total = total + polycore.boros_moll_P(f.degree, k) * w
+    return (
+        polycore.is_nonnegative(weights)
+        and polycore.shift_by_one(f).shift(1) == total
+        and shifted_unimodal
+    )
+
+
+def weight_families_shift_hold(mmax: int) -> bool:
+    """``shift_identity_holds`` for one member of each nondecreasing weight
+    family, w_j = 3^j, j^4, j^j and C(3m, j) C(5m, j)^2, at m = 1..mmax."""
+    return all(
+        shift_identity_holds(f)
+        for m in range(1, mmax + 1)
+        for f in (
+            polycore.geometric_weight_poly(3, m),
+            polycore.power_weight_poly(4, m),
+            polycore.self_power_weight_poly(m),
+            polycore.binomial_product_weight_poly([(3, 1), (5, 2)], m),
+        )
+    )
 
 
 def gaussian_grid(amax: int, bmax: int, budget: Optional[int]) -> list[dict]:
@@ -33,21 +83,34 @@ def gaussian_grid(amax: int, bmax: int, budget: Optional[int]) -> list[dict]:
                     "stated_rule_agrees": koh_stated == quotient,
                     "unimodal": polycore.is_unimodal(quotient),
                     "darga": polycore.darga(quotient),
+                    "darga_palindromic": polycore.is_darga_palindromic(quotient),
                 }
             )
     return grid
 
 
 def gaussian_grid_holds(grid: list[dict]) -> bool:
-    """All four routes agree, G(a,b) is unimodal with darga ab, and the printed
-    argument rule reproduces G(a,b) exactly on the diagonal a == b."""
+    """All four routes agree, G(a,b) is unimodal and symmetric about its darga ab,
+    and the printed argument rule reproduces G(a,b) exactly on the diagonal a == b."""
     return all(
         cell["four_way_agreement"]
         and cell["unimodal"]
         and cell["darga"] == cell["a"] * cell["b"]
+        and cell["darga_palindromic"]
         and cell["stated_rule_agrees"] == (cell["a"] == cell["b"])
         for cell in grid
     )
+
+
+def calibration_holds(max_a: int, max_b: int) -> bool:
+    """Run against enumeration on every box up to (max_a, max_b), the calibration
+    harness selects the argument formula of the ``calibrated`` KOH rule; a harness
+    that finds no matching candidate is a false verdict."""
+    try:
+        _, formula = qgauss.calibrate_argument_rule(max_a, max_b)
+    except RuntimeError:
+        return False
+    return formula is qgauss.ARGUMENT_FORMULAS[qgauss.ArgRule.CALIBRATED]
 
 
 def _allowed_verdicts(rule: InjectionRule, a: int, b: int) -> set[ClaimVerdict]:

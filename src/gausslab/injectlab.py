@@ -99,17 +99,14 @@ def levels(
     return buckets
 
 
-# -- matrix encoding and conjugation ------------------------------------------
-
-
-def to_matrix(p: BoxedPartition) -> tuple[tuple[int, ...], ...]:
-    """0/1 matrix with a rows of width b; row i carries parts[i] leading ones."""
-    a, b = p.box
-    return tuple(tuple(1 if j < p.parts[i] else 0 for j in range(b)) for i in range(a))
+# -- conjugation ----------------------------------------------------------------
 
 
 def conjugate(p: BoxedPartition) -> BoxedPartition:
-    """The unique partition in the (b, a) box whose matrix is the transpose."""
+    """The unique partition in the (b, a) box whose diagram is the transpose of p's.
+
+    Row i of p's a-by-b 0/1 diagram holds parts[i] leading ones.
+    """
     a, b = p.box
     parts = tuple(sum(1 for x in p.parts if x >= j) for j in range(1, b + 1))
     return BoxedPartition(parts, (b, a))

@@ -20,13 +20,6 @@ Point = tuple[int, int]
 LatticePath = tuple[Point, ...]
 
 
-def validate_path(path: LatticePath) -> None:
-    """Consecutive vertices must sit at Euclidean distance exactly 1."""
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        if (x1 - x0) ** 2 + (y1 - y0) ** 2 != 1:
-            raise ValueError(f"non-unit step {(x0, y0)} -> {(x1, y1)}")
-
-
 class LineOrientation(enum.Enum):
     HORIZONTAL = "horizontal"  # y = offset
     VERTICAL = "vertical"  # x = offset

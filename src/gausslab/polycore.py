@@ -64,11 +64,6 @@ class IntPoly:
             raise ZeroPolynomial("zero polynomial has no lowest term")
         return next(k for k, c in enumerate(self.coeffs) if c)
 
-    def coefficient(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     def evaluate(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
         acc = 0
@@ -144,10 +139,6 @@ class IntPoly:
     @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "IntPoly":
@@ -534,16 +525,6 @@ def sturm_chain(f: PolyLike) -> list[IntPoly]:
                 break
             chain.append(-nxt)
     return chain
-
-
-def count_distinct_real_roots(f: PolyLike) -> int:
-    """Exact count of distinct real roots (Sturm, Cauchy bound, rationals only)."""
-    p = as_poly(f)
-    if p.is_zero:
-        raise ZeroPolynomial("root count of zero is undefined")
-    if p.degree == 0:
-        return 0
-    return _count_real_roots_square_free(square_free_part(p))
 
 
 def _count_real_roots_square_free(g: IntPoly) -> int:

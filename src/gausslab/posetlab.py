@@ -1,10 +1,10 @@
 """Classical ranked posets and their exact verifications.
 
 Covers the subset lattice (with exhaustive antichain search and the exact
-LYM sum), the weak order on permutations ranked by inversions, the refinement
-order on set partitions with Stirling counts, and Eulerian polynomials from
-the descent statistic.  Everything is enumerated exactly; completed posets
-are immutable and freely shareable.
+LYM sum), the weak order on permutations ranked by inversions, set partitions
+with Stirling counts, and Eulerian polynomials from the descent statistic.
+Everything is enumerated exactly; completed posets are immutable and freely
+shareable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationBudgetExceeded, NotAnAntichain
 from .polycore import IntPoly
@@ -27,8 +27,7 @@ class RankedPoset:
     """Finite poset given by its cover relation plus a rank labelling.
 
     ``covers`` holds index pairs (i, j) meaning elements[j] covers
-    elements[i]; ranks change by exactly 1 across every cover, in one
-    consistent direction (ranks may increase or decrease along covers).
+    elements[i]; the rank rises by exactly 1 across every cover.
     """
 
     elements: tuple
@@ -43,60 +42,8 @@ class RankedPoset:
             hist[r - lo] += 1
         return hist
 
-    def to_json_dict(self) -> dict:
-        return {
-            "elements": [_element_json(e) for e in self.elements],
-            "covers": [list(c) for c in self.covers],
-            "ranks": list(self.ranks),
-        }
-
-
-def _element_json(e):
-    if isinstance(e, tuple):
-        return [_element_json(x) for x in e]
-    return e
-
-
-def validate_ranked_poset(p: RankedPoset) -> None:
-    """Check the rank axioms: |step| = 1 across covers, one consistent direction."""
-    if not p.covers:
-        return
-    steps = {p.ranks[j] - p.ranks[i] for i, j in p.covers}
-    if steps not in ({1}, {-1}):
-        raise ValueError(f"cover rank steps must be uniformly +1 or -1, got {steps}")
-
-
-def count_maximal_chains(p: RankedPoset) -> int:
-    """Number of saturated chains from a minimal to a maximal element."""
-    n = len(p.elements)
-    has_in = [False] * n
-    has_out = [False] * n
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    for i, j in p.covers:
-        has_in[j] = True
-        has_out[i] = True
-        incoming[j].append(i)
-    step = p.ranks[p.covers[0][1]] - p.ranks[p.covers[0][0]] if p.covers else 1
-    order = sorted(range(n), key=lambda i: step * p.ranks[i])
-    paths = [0] * n
-    for i in order:
-        paths[i] = 1 if not has_in[i] else sum(paths[src] for src in incoming[i])
-    return sum(paths[i] for i in range(n) if not has_out[i])
-
 
 # -- the subset lattice ---------------------------------------------------------
-
-
-def subset_lattice(n: int) -> RankedPoset:
-    """All subsets of {1..n} as bitmasks, ordered by inclusion, ranked by size."""
-    if not 1 <= n <= 20:
-        raise ValueError("need 1 <= n <= 20")
-    elements = tuple(range(1 << n))
-    covers = tuple(
-        (s, s | (1 << i)) for s in elements for i in range(n) if not s >> i & 1
-    )
-    ranks = tuple(s.bit_count() for s in elements)
-    return RankedPoset(elements, covers, ranks)
 
 
 def mask_of(subset: Iterable[int], n: int) -> int:
@@ -242,13 +189,6 @@ def inversion_polynomial(n: int) -> IntPoly:
 # -- set partitions and Stirling numbers ----------------------------------------
 
 
-def stirling2(n: int, k: int) -> int:
-    """S(n, k), read from the row ``stirling_row(n)``."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return stirling_row(n)[k - 1]
-
-
 def stirling_row(n: int) -> list[int]:
     """(S(n, 1), ..., S(n, n)) by the recurrence S(m,k) = k S(m-1,k) + S(m-1,k-1),
     one row of the triangle at a time."""
@@ -285,40 +225,6 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
     return rec(1)
 
 
-def refines(p: SetPartition, q: SetPartition) -> bool:
-    """True iff every block of p is contained in some block of q."""
-    lookup = {}
-    for bi, block in enumerate(q):
-        for x in block:
-            lookup[x] = bi
-    return all(len({lookup[x] for x in block}) == 1 for block in p)
-
-
-def _merge_blocks(p: SetPartition, i: int, j: int) -> SetPartition:
-    merged = tuple(sorted(p[i] + p[j]))
-    rest = [b for t, b in enumerate(p) if t not in (i, j)]
-    return tuple(sorted(rest + [merged], key=lambda b: b[0]))
-
-
-def partition_lattice(n: int) -> RankedPoset:
-    """Set partitions of {1..n} under refinement; rank = number of blocks.
-
-    The rank decreases along covers (a cover merges exactly two blocks), which
-    is the decreasing orientation of a rank function.
-    """
-    if not 1 <= n <= 9:
-        raise ValueError("need 1 <= n <= 9")
-    elements = tuple(sorted(set_partitions(n)))
-    index = {p: i for i, p in enumerate(elements)}
-    covers = []
-    for i, p in enumerate(elements):
-        for bi in range(len(p)):
-            for bj in range(bi + 1, len(p)):
-                covers.append((i, index[_merge_blocks(p, bi, bj)]))
-    ranks = tuple(len(p) for p in elements)
-    return RankedPoset(elements, tuple(covers), ranks)
-
-
 # -- Eulerian polynomials --------------------------------------------------------
 
 
@@ -349,19 +255,3 @@ def eulerian_recurrence(n: int) -> IntPoly:
             for k in range(m)
         ]
     return IntPoly(row)
-
-
-# -- rank-function relations ------------------------------------------------------
-
-
-def affine_rank_relation(
-    r1: Sequence[int], r2: Sequence[int]
-) -> Optional[tuple[int, int]]:
-    """(slope, offset) with r2 = slope * r1 + offset and slope in {1, -1}, or None."""
-    if len(r1) != len(r2) or not r1:
-        return None
-    for slope in (1, -1):
-        offset = r2[0] - slope * r1[0]
-        if all(y == slope * x + offset for x, y in zip(r1, r2)):
-            return slope, offset
-    return None

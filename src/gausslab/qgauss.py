@@ -349,22 +349,19 @@ def koh_sum(
     return total, terms
 
 
-def calibrate_argument_rule(
-    max_a: int = 6,
-    max_b: int = 6,
-    candidates: tuple[tuple[str, ArgumentFormula], ...] = CALIBRATION_CANDIDATES,
-) -> tuple[str, ArgumentFormula]:
-    """First candidate formula whose sums match the enumeration oracle everywhere.
+def calibrate_argument_rule(max_a: int = 6, max_b: int = 6) -> tuple[str, ArgumentFormula]:
+    """First formula of CALIBRATION_CANDIDATES whose sums match the enumeration oracle.
 
     Candidates are tried in order on every box with 1 <= a <= max_a,
-    1 <= b <= max_b; a candidate is disqualified by any mismatch.
+    1 <= b <= max_b; a candidate is disqualified by any mismatch.  Raises
+    RuntimeError if none matches everywhere.
     """
     oracle = {
         (a, b): level_counts(a, b)
         for a in range(1, max_a + 1)
         for b in range(1, max_b + 1)
     }
-    for name, formula in candidates:
+    for name, formula in CALIBRATION_CANDIDATES:
         if all(
             list(koh_sum(a, b, argument=formula)[0].coeffs) == counts
             for (a, b), counts in oracle.items()

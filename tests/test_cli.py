@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import gausslab
 from gausslab import cli, criteria, injectlab, pathlab, polycore, posetlab, qgauss
 from gausslab.cli import main
+from gausslab.polycore import IntPoly
 
 
 def run(capsys, *argv):
@@ -233,7 +234,7 @@ class TestReport:
         code, out = run(capsys, "report", "--amax", "4", "--bmax", "4")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5a2d05e6930b34f00c36295385d365fc8d63f9c9d77d77314a66d7b9d536765e"
+            "20036cfdbaf9d6e5f7814d6021f095cb4782a1158bde6826f7fbefcc4dd7862a"
         )
 
     def test_report_deterministic(self, capsys):
@@ -269,14 +270,61 @@ def _closed_form_off_by_one(monkeypatch):
     monkeypatch.setattr(pathlab, "count_free_closed_form", lambda a, b, n: closed(a, b, n) + 1)
 
 
+def _boros_moll_P_one_index_low(monkeypatch):
+    build = polycore.boros_moll_P
+    monkeypatch.setattr(polycore, "boros_moll_P", lambda m, r: build(m, max(r - 1, 0)))
+
+
+def _always_log_concave(monkeypatch):
+    monkeypatch.setattr(polycore, "is_log_concave", lambda f: True)
+
+
+def _one_box_not_palindromic(monkeypatch):
+    # Every route gives the (2, 3) box the same unimodal sequence of darga 6
+    # that is not symmetric, so route agreement, unimodality, darga and the
+    # calibration all still hold; only the symmetry check can see it.  The
+    # stated KOH rule is left alone: off the diagonal it must still disagree.
+    lopsided = IntPoly([1, 2, 2, 2, 1, 1, 1])
+    faked = {
+        "gaussian_quotient": lopsided,
+        "gaussian_pascal": lopsided,
+        "level_counts": list(lopsided.coeffs),
+        "koh_sum": (lopsided, []),
+    }
+    for name, value in faked.items():
+        route = getattr(qgauss, name)
+
+        def patched(a, b, *args, route=route, value=value, **kwargs):
+            if (a, b) == (2, 3) and qgauss.ArgRule.STATED not in args:
+                return value
+            return route(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(qgauss, name, patched)
+
+
+def _calibrated_formula_not_a_candidate(monkeypatch):
+    monkeypatch.setattr(
+        qgauss,
+        "CALIBRATION_CANDIDATES",
+        tuple(c for c in qgauss.CALIBRATION_CANDIDATES if c[1] is not qgauss.calibrated_argument),
+    )
+
+
+SECTIONS = ("gaussian", "injections", "posets", "paths", "shapes")
+
+
 class TestReportCanFail:
     @pytest.mark.parametrize(
         "section, fault",
         [
             ("gaussian", _stated_rule_is_calibrated),
+            ("gaussian", _one_box_not_palindromic),
+            ("gaussian", _calibrated_formula_not_a_candidate),
             ("injections", _max_wt_claim_one_level_up),
             ("posets", _stirling_row_with_a_dip),
             ("paths", _closed_form_off_by_one),
+            ("shapes", _boros_moll_P_one_index_low),
+            ("shapes", _always_log_concave),
         ],
     )
     def test_one_fault_fails_only_its_section(self, capsys, monkeypatch, section, fault):
@@ -286,8 +334,34 @@ class TestReportCanFail:
         assert code == 1
         assert doc["pass"] is False
         assert {name: s["pass"] for name, s in doc["sections"].items()} == {
-            name: name != section for name in ("gaussian", "injections", "posets", "paths")
+            name: name != section for name in SECTIONS
         }
+
+    @pytest.mark.parametrize(
+        "fault, key",
+        [
+            (_boros_moll_P_one_index_low, "shift_identity_weight_families_m_le_8"),
+            (_always_log_concave, "g22_unimodal_palindromic_not_log_concave"),
+        ],
+    )
+    def test_each_shape_fault_fails_only_its_check(self, capsys, monkeypatch, fault, key):
+        fault(monkeypatch)
+        _, out = run(capsys, "report", "--amax", "2", "--bmax", "2")
+        shapes = json.loads(out)["sections"]["shapes"]
+        assert {name: held for name, held in shapes.items() if name != "pass"} == {
+            name: name != key for name in shapes if name != "pass"
+        }
+
+    def test_a_lopsided_box_fails_only_its_symmetry_check(self, capsys, monkeypatch):
+        _one_box_not_palindromic(monkeypatch)
+        _, out = run(capsys, "report", "--amax", "3", "--bmax", "3")
+        gaussian = json.loads(out)["sections"]["gaussian"]
+        assert gaussian["calibration_selects_calibrated_rule_a_b_le_6"] is True
+        for cell in gaussian["grid"]:
+            assert cell["darga_palindromic"] is ((cell["a"], cell["b"]) != (2, 3))
+            assert cell["four_way_agreement"] and cell["unimodal"]
+            assert cell["darga"] == cell["a"] * cell["b"]
+            assert cell["stated_rule_agrees"] is (cell["a"] == cell["b"])
 
 
 def _never_real_rooted(monkeypatch):
@@ -501,9 +575,9 @@ GOLDEN = [
     (["paths", "sagan", "4", "4"], 0,
      "8a1b0690c103be38e18624a0cb7db87c2719fa6eeb174bd6cbdb5f6fbc545095"),
     (["report", "--amax", "4", "--bmax", "4"], 0,
-     "5a2d05e6930b34f00c36295385d365fc8d63f9c9d77d77314a66d7b9d536765e"),
+     "20036cfdbaf9d6e5f7814d6021f095cb4782a1158bde6826f7fbefcc4dd7862a"),
     (["report"], 0,
-     "249b28ab42a2dc4f8bf5fa719960bea2caa2ba9756a8d7cc1dab589058ffb8b2"),
+     "94ea9f0ff3b47fe4dff055d2edeba2082560fb5cf75f0bbcca7b95215006bade"),
 ]
 
 
@@ -519,7 +593,7 @@ class TestGoldenOutput:
         assert main(["report", "--amax", "4", "--bmax", "4", "--out", str(out_file)]) == 0
         assert capsys.readouterr() == ("", "")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "5a2d05e6930b34f00c36295385d365fc8d63f9c9d77d77314a66d7b9d536765e"
+            "20036cfdbaf9d6e5f7814d6021f095cb4782a1158bde6826f7fbefcc4dd7862a"
         )
 
 
