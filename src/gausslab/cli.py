@@ -318,8 +318,9 @@ def _cmd_report(args) -> Result:
         "shift_identity_weight_families_m_le_8": criteria.weight_families_shift_hold(8),
     }
     shapes["pass"] = all(shapes.values())
-    grid = criteria.gaussian_grid(amax, bmax, args.budget)
-    calibrated = criteria.calibration_holds(6, 6)
+    counts = criteria.box_level_counts(amax, bmax, args.budget)
+    grid = criteria.gaussian_grid(counts)
+    calibrated = criteria.calibration_holds(6, 6, counts)
     audits = injectlab.audit_all(amax, bmax, budget=args.budget)
     claims = [injectlab.check_claim(r) for r in audits]
     sections = {

@@ -8,7 +8,7 @@ at their own ranges.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Mapping, Optional
 
 from . import pathlab, polycore, posetlab, qgauss
 from .errors import PreconditionViolated
@@ -65,27 +65,39 @@ def weight_families_shift_hold(mmax: int) -> bool:
     )
 
 
-def gaussian_grid(amax: int, bmax: int, budget: Optional[int]) -> list[dict]:
-    """One cell per box 1 <= a <= amax, 1 <= b <= bmax: route agreement and shape."""
+def box_level_counts(
+    amax: int, bmax: int, budget: Optional[int]
+) -> dict[tuple[int, int], list[int]]:
+    """``qgauss.level_counts`` of every box 1 <= a <= amax, 1 <= b <= bmax, keyed by
+    (a, b): the one enumeration of each box that the grid and the calibration share."""
+    return {
+        (a, b): qgauss.level_counts(a, b, budget)
+        for a in range(1, amax + 1)
+        for b in range(1, bmax + 1)
+    }
+
+
+def gaussian_grid(counts: Mapping[tuple[int, int], list[int]]) -> list[dict]:
+    """One cell per box of ``counts`` (see ``box_level_counts``), in its order:
+    route agreement and shape."""
     grid = []
-    for a in range(1, amax + 1):
-        for b in range(1, bmax + 1):
-            quotient = qgauss.gaussian_quotient(a, b)
-            pascal = qgauss.gaussian_pascal(a, b)
-            enum_counts = IntPoly(qgauss.level_counts(a, b, budget))
-            koh_cal, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.CALIBRATED)
-            koh_stated, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.STATED)
-            grid.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "four_way_agreement": quotient == pascal == enum_counts == koh_cal,
-                    "stated_rule_agrees": koh_stated == quotient,
-                    "unimodal": polycore.is_unimodal(quotient),
-                    "darga": polycore.darga(quotient),
-                    "darga_palindromic": polycore.is_darga_palindromic(quotient),
-                }
-            )
+    for (a, b), level_counts in counts.items():
+        quotient = qgauss.gaussian_quotient(a, b)
+        pascal = qgauss.gaussian_pascal(a, b)
+        enum_counts = IntPoly(level_counts)
+        koh_cal, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.CALIBRATED)
+        koh_stated, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.STATED)
+        grid.append(
+            {
+                "a": a,
+                "b": b,
+                "four_way_agreement": quotient == pascal == enum_counts == koh_cal,
+                "stated_rule_agrees": koh_stated == quotient,
+                "unimodal": polycore.is_unimodal(quotient),
+                "darga": polycore.darga(quotient),
+                "darga_palindromic": polycore.is_darga_palindromic(quotient),
+            }
+        )
     return grid
 
 
@@ -102,12 +114,15 @@ def gaussian_grid_holds(grid: list[dict]) -> bool:
     )
 
 
-def calibration_holds(max_a: int, max_b: int) -> bool:
+def calibration_holds(
+    max_a: int, max_b: int, counts: Mapping[tuple[int, int], list[int]]
+) -> bool:
     """Run against enumeration on every box up to (max_a, max_b), the calibration
     harness selects the argument formula of the ``calibrated`` KOH rule; a harness
-    that finds no matching candidate is a false verdict."""
+    that finds no matching candidate is a false verdict.  Boxes in ``counts`` (see
+    ``box_level_counts``) are not enumerated again."""
     try:
-        _, formula = qgauss.calibrate_argument_rule(max_a, max_b)
+        _, formula = qgauss.calibrate_argument_rule(max_a, max_b, counts)
     except RuntimeError:
         return False
     return formula is qgauss.ARGUMENT_FORMULAS[qgauss.ArgRule.CALIBRATED]

@@ -141,10 +141,6 @@ class IntPoly:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "IntPoly":
-        return cls((0,) * k + (c,))
-
-    @classmethod
     def from_json(cls, strings: Iterable[Union[str, int]]) -> "IntPoly":
         """Inverse of :meth:`to_json`; also takes plain ints.
 
@@ -500,7 +496,7 @@ def square_free_part(f: PolyLike) -> IntPoly:
     return div_exact(p, g)
 
 
-def _sign_variations(values: Iterable[Fraction]) -> int:
+def _sign_variations(values: Iterable[int]) -> int:
     signs = [1 if v > 0 else -1 for v in values if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
@@ -528,14 +524,17 @@ def sturm_chain(f: PolyLike) -> list[IntPoly]:
 
 
 def _count_real_roots_square_free(g: IntPoly) -> int:
-    """Sturm count of the real roots of a nonzero square-free g."""
+    """Sturm count of the real roots of a nonzero square-free g.
+
+    The variations are read at -inf and +inf, where each chain member has the
+    sign of its leading coefficient, times (-1)^degree at -inf.
+    """
     if g.degree == 0:
         return 0
     chain = sturm_chain(g)
-    bound = Fraction(1) + Fraction(max(abs(c) for c in g.coeffs[:-1]), abs(g.coeffs[-1]))
-    lo = _sign_variations(q.evaluate(-bound) for q in chain)
-    hi = _sign_variations(q.evaluate(bound) for q in chain)
-    return lo - hi
+    at_minus_inf = _sign_variations(-q.coeffs[-1] if q.degree % 2 else q.coeffs[-1] for q in chain)
+    at_plus_inf = _sign_variations(q.coeffs[-1] for q in chain)
+    return at_minus_inf - at_plus_inf
 
 
 def is_real_rooted(f: PolyLike) -> bool:

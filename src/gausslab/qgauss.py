@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from . import injectlab
 from .errors import NegativeExponent, SlotOverflow
@@ -186,31 +186,28 @@ class ArgRule(enum.Enum):
     CALIBRATED = "calibrated"
 
 
-ArgumentFormula = Callable[[int, int, Sequence[int], int], int]
+# (a, b, i, tail) -> a_i, the width of factor i, where tail is
+# sum_{j<i} 2 (i - j) d_{b-j}; koh_terms carries it as a running sum.
+ArgumentFormula = Callable[[int, int, int, int], int]
 
 
-def _argument_tail(d: Sequence[int], b: int, i: int) -> int:
-    # sum over j = 0..i-1 of 2 (i - j) d_{b-j}, with d_1-based entries in d[0..b-1]
-    return sum(2 * (i - j) * d[b - 1 - j] for j in range(i))
-
-
-def stated_argument(a: int, b: int, d: Sequence[int], i: int) -> int:
+def stated_argument(a: int, b: int, i: int, tail: int) -> int:
     """Printed width formula: (b - i) * b - 2i + tail."""
-    return (b - i) * b - 2 * i + _argument_tail(d, b, i)
+    return (b - i) * b - 2 * i + tail
 
 
-def minimal_edit_argument(a: int, b: int, d: Sequence[int], i: int) -> int:
+def minimal_edit_argument(a: int, b: int, i: int, tail: int) -> int:
     """First calibration candidate: a - 2i + tail (a for the printed leading term)."""
-    return a - 2 * i + _argument_tail(d, b, i)
+    return a - 2 * i + tail
 
 
-def calibrated_argument(a: int, b: int, d: Sequence[int], i: int) -> int:
+def calibrated_argument(a: int, b: int, i: int, tail: int) -> int:
     """Second calibration candidate: (b - i) * a - 2i + tail (b -> a in the leading product).
 
     This is the rule the calibration harness selects; every term it builds is
     darga-palindromic with darga a*b, as the inductive argument requires.
     """
-    return (b - i) * a - 2 * i + _argument_tail(d, b, i)
+    return (b - i) * a - 2 * i + tail
 
 
 CALIBRATION_CANDIDATES: tuple[tuple[str, ArgumentFormula], ...] = (
@@ -225,14 +222,17 @@ ARGUMENT_FORMULAS: dict[ArgRule, ArgumentFormula] = {
 
 
 def koh_exponent(dv: MultiplicityVector) -> int:
-    """b * (sum d_i) - b - sum_{i<j} (j - i) d_i d_j; the monomial prefactor power."""
-    d, b = dv.d, dv.b
-    cross = sum(
-        (j - i) * d[i - 1] * d[j - 1]
-        for i in range(1, b + 1)
-        for j in range(i + 1, b + 1)
-    )
-    return b * sum(d) - b - cross
+    """b * (sum d_i) - b - sum_{i<j} (j - i) d_i d_j; the monomial prefactor power.
+
+    The cross sum is one pass: with S and T the running sums of d_i and
+    i d_i over i < j, the pairs ending at j add d_j (j S - T).
+    """
+    cross = s = t = 0
+    for j, d_j in enumerate(dv.d):
+        cross += d_j * (j * s - t)
+        s += d_j
+        t += j * d_j
+    return dv.b * s - dv.b - cross
 
 
 @dataclass(frozen=True)
@@ -253,10 +253,6 @@ class KohTerm:
     poly: IntPoly
     darga: Optional[int]
     negative_factor_indexes: tuple[int, ...] = ()
-
-    @property
-    def vanishes(self) -> bool:
-        return self.poly.is_zero
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,6 +282,9 @@ def koh_terms(
 ) -> list[KohTerm]:
     """Assemble one term per multiplicity vector (see :class:`KohTerm`).
 
+    The exponent and the b argument widths of a vector take O(b) arithmetic
+    operations, each from one pass of running sums.
+
     A term's live factors (b_i > 0) come from the q-Pascal recurrence as
     packed integers at one slot width, bounded by the product of their
     C(a_i + b_i, a_i), and are multiplied while packed; the product is
@@ -304,12 +303,17 @@ def koh_terms(
             )
         pairs = []
         negatives = []
+        # tail(i) = sum_{j<i} 2 (i - j) d_{b-j} = 2 (i S - T), with S and T the
+        # running sums of b_j and j b_j over the factors j < i.
+        s = t = 0
         for i in range(b):
-            a_i = arg(a, b, dv.d, i)
+            a_i = arg(a, b, i, 2 * (i * s - t))
             b_i = dv.d[b - 1 - i]
             pairs.append((a_i, b_i))
             if b_i > 0 and a_i < 0:
                 negatives.append(i)
+            s += b_i
+            t += i * b_i
         if negatives:
             poly = IntPoly.zero()
         else:
@@ -349,15 +353,22 @@ def koh_sum(
     return total, terms
 
 
-def calibrate_argument_rule(max_a: int = 6, max_b: int = 6) -> tuple[str, ArgumentFormula]:
+def calibrate_argument_rule(
+    max_a: int = 6,
+    max_b: int = 6,
+    known_counts: Optional[Mapping[tuple[int, int], list[int]]] = None,
+) -> tuple[str, ArgumentFormula]:
     """First formula of CALIBRATION_CANDIDATES whose sums match the enumeration oracle.
 
     Candidates are tried in order on every box with 1 <= a <= max_a,
-    1 <= b <= max_b; a candidate is disqualified by any mismatch.  Raises
-    RuntimeError if none matches everywhere.
+    1 <= b <= max_b; a candidate is disqualified by any mismatch.  The oracle
+    takes a box's :func:`level_counts` from ``known_counts`` when it holds the
+    box, and enumerates only the boxes it lacks.  Raises RuntimeError if none
+    matches everywhere.
     """
+    known = known_counts or {}
     oracle = {
-        (a, b): level_counts(a, b)
+        (a, b): known[a, b] if (a, b) in known else level_counts(a, b)
         for a in range(1, max_a + 1)
         for b in range(1, max_b + 1)
     }

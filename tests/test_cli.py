@@ -237,6 +237,22 @@ class TestReport:
             "20036cfdbaf9d6e5f7814d6021f095cb4782a1158bde6826f7fbefcc4dd7862a"
         )
 
+    @pytest.mark.parametrize("side, boxes", [(8, 64), (3, 36)])
+    def test_each_box_is_enumerated_once(self, capsys, monkeypatch, side, boxes):
+        # The grid's boxes and the 36 calibration boxes up to 6x6 share one
+        # enumeration each: 64 at 8x8 (the grid covers all 36), 9 + 27 at 3x3.
+        calls = []
+        enumerate_counts = qgauss.level_counts
+
+        def counted(a, b, *rest):
+            calls.append((a, b))
+            return enumerate_counts(a, b, *rest)
+
+        monkeypatch.setattr(qgauss, "level_counts", counted)
+        code, _ = run(capsys, "report", "--amax", str(side), "--bmax", str(side))
+        assert code == 0
+        assert len(calls) == len(set(calls)) == boxes
+
     def test_report_deterministic(self, capsys):
         code1, out1 = run(capsys, "report", "--amax", "2", "--bmax", "2")
         code2, out2 = run(capsys, "report", "--amax", "2", "--bmax", "2")

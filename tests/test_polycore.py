@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -245,6 +247,58 @@ class TestRealRooted:
         assert all(chain[i].degree > chain[i + 1].degree for i in range(1, len(chain) - 1))
 
 
+def _bound_count(g):
+    """The Sturm count read at -B and B, with B = 1 + max |c_k| / |c_n| the
+    Cauchy bound on the roots of g, evaluated over the rationals."""
+    if g.degree == 0:
+        return 0
+    chain = sturm_chain(g)
+    bound = Fraction(1) + Fraction(max(abs(c) for c in g.coeffs[:-1]), abs(g.coeffs[-1]))
+
+    def variations(x):
+        signs = [v > 0 for v in (q.evaluate(x) for q in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(-bound) - variations(bound)
+
+
+def _random_products(seed, count):
+    """Products of 1 to 5 linear and quadratic factors, some repeated, with
+    leading coefficients of either sign."""
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(count):
+        p = IntPoly([rng.choice([-3, -2, -1, 1, 2, 3])])
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.5:
+                factor = IntPoly([rng.randint(-5, 5), rng.choice([-2, -1, 1, 3])])
+            else:
+                factor = IntPoly([rng.randint(-6, 6), rng.randint(-4, 4), rng.choice([-1, 1, 2])])
+            p = p * factor ** rng.randint(1, 3)
+        polys.append(p)
+    return polys
+
+
+class TestSturmAtInfinity:
+    """The count read from leading coefficients against independent counts."""
+
+    def test_matches_the_bound_based_count(self):
+        for p in _random_products(5, 400):
+            g = square_free_part(p)
+            assert polycore._count_real_roots_square_free(g) == _bound_count(g), p
+            assert polycore._count_real_roots_square_free(-g) == _bound_count(g), p
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for p in _random_products(11, 120):
+            poly = sympy.Poly(list(reversed(p.coeffs)), x)
+            roots = poly.real_roots()
+            g = square_free_part(p)
+            assert polycore._count_real_roots_square_free(g) == len(set(roots)), p
+            assert is_real_rooted(p) == (len(roots) == p.degree), p
+
+
 class TestBorosMoll:
     def test_examples(self):
         assert boros_moll_P(1, 0).coeffs == (0, 2, 1)
@@ -267,7 +321,7 @@ class TestBorosMoll:
 
 class TestShiftTest:
     def test_monomial_gives_binomials(self):
-        f = IntPoly.monomial(4)
+        f = IntPoly([0, 0, 0, 0, 1])
         assert shifted_is_unimodal(f)
         assert shift_by_one(f) == binomial_power(4)
 

@@ -171,7 +171,7 @@ class TestKoh:
         for a in range(1, 7):
             for b in range(1, 7):
                 for term in koh_terms(a, b):
-                    if not term.vanishes:
+                    if not term.poly.is_zero:
                         assert term.darga == a * b
                         assert is_darga_palindromic(term.poly)
 
@@ -181,7 +181,7 @@ class TestKoh:
         assert total == gaussian_quotient(1, 2)
         flagged = [t for t in terms if t.negative_factor_indexes]
         assert len(flagged) == 1
-        assert flagged[0].vanishes
+        assert flagged[0].poly.is_zero
         assert flagged[0].darga is None
 
     def test_stated_rule_disagrees_off_diagonal(self):
@@ -241,14 +241,30 @@ def _dict_pascal(a, b):
     return _pascal_table(a, b)[a, b]
 
 
+def _quadratic_tail(d, b, i):
+    """sum_{j<i} 2 (i - j) d_{b-j}, summed afresh for each factor i."""
+    return sum(2 * (i - j) * d[b - 1 - j] for j in range(i))
+
+
+def _quadratic_exponent(d, b):
+    """b * sum d_i - b - sum_{i<j} (j - i) d_i d_j, summed over all pairs."""
+    cross = sum(
+        (j - i) * d[i - 1] * d[j - 1] for i in range(1, b + 1) for j in range(i + 1, b + 1)
+    )
+    return b * sum(d) - b - cross
+
+
 def _schoolbook_terms(a, b, rule):
     """Each term as (multiplicities, exponent, factors, poly, darga, negatives),
-    its live factors multiplied one by one with IntPoly's schoolbook product."""
+    its exponent and widths from the pairwise sums above and its live factors
+    multiplied one by one with IntPoly's schoolbook product."""
     arg = ARGUMENT_FORMULAS[rule]
     out = []
     for dv in koh_multiplicity_vectors(b):
-        exponent = koh_exponent(dv)
-        pairs = tuple((arg(a, b, dv.d, i), dv.d[b - 1 - i]) for i in range(b))
+        exponent = _quadratic_exponent(dv.d, b)
+        pairs = tuple(
+            (arg(a, b, i, _quadratic_tail(dv.d, b, i)), dv.d[b - 1 - i]) for i in range(b)
+        )
         negatives = tuple(i for i, (a_i, b_i) in enumerate(pairs) if b_i > 0 and a_i < 0)
         poly = IntPoly.zero()
         if not negatives:
@@ -259,6 +275,30 @@ def _schoolbook_terms(a, b, rule):
             poly = poly.shift(exponent)
         out.append((dv.d, exponent, pairs, poly, None if poly.is_zero else darga(poly), negatives))
     return out
+
+
+class TestRunningSums:
+    """koh_terms and koh_exponent take one pass of running sums per multiplicity
+    vector; they must equal the pairwise sums above on every vector with b <= 16."""
+
+    def test_exponent(self):
+        for b in range(17):
+            for dv in koh_multiplicity_vectors(b):
+                assert koh_exponent(dv) == _quadratic_exponent(dv.d, b), dv.d
+
+    def test_tails(self):
+        for b in range(17):
+            tails = []
+
+            def record(a, b, i, tail):
+                tails.append(tail)
+                return -1  # every live factor is negative, so no term is assembled
+
+            koh_terms(0, b, argument=record)
+            expected = [
+                _quadratic_tail(dv.d, b, i) for dv in koh_multiplicity_vectors(b) for i in range(b)
+            ]
+            assert tails == expected, b
 
 
 class TestPackedKernels:
@@ -327,7 +367,7 @@ class TestSlotSumChecksCanFail:
             gaussian_pascal(40, 40)
 
     def test_koh(self, monkeypatch):
-        widest = max(max(t.poly.coeffs) for t in koh_terms(12, 12) if not t.vanishes)
+        widest = max(max(t.poly.coeffs) for t in koh_terms(12, 12) if not t.poly.is_zero)
         narrow_slots(monkeypatch, widest)
         with pytest.raises(SlotOverflow):
             koh_terms(12, 12)

@@ -1,12 +1,15 @@
-"""Every top-level function and class in gausslab is reached from the command line.
+"""Every top-level function and class in gausslab, and every method, is reached
+from the command line.
 
 The walk starts from the modules the command line runs (``cli.py``,
 ``criteria.py`` and ``__main__.py``) and follows the names each reached
 definition uses at run time: its own module's top-level names, names imported
 from sibling modules, and ``module.name`` attributes of imported modules.
-Annotations are not uses.  A class counts as reached with all of its methods.
-Top-level assignments are followed when something reaches them but are not
-themselves reported.
+Annotations are not uses.  A reached class brings its bases, decorators and
+class-level statements, but not its methods: a method is reached only when
+reached code loads its name as an attribute (``x.name`` on any object), and
+dunder methods count as reached with their class.  Top-level assignments are
+followed when something reaches them but are not themselves reported.
 """
 
 import ast
@@ -22,18 +25,30 @@ TEST_REFERENCES = {
     ("polycore", "pack"): "the packed format that unpack inverts, written out once",
     ("pathlab", "reflect_through_point"): "the point symmetry compared with line reflection",
     ("posetlab", "des"): "the descent count that eulerian's inline count is tested against",
+    ("polycore", "GammaVector.reconstruct"): "the inverse the gamma re-expansion tests use",
 }
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _uses(node):
-    """(name, attribute or None) for each run-time load in ``node``."""
+    """(name or None, attribute or None) for each run-time load in ``node``.
+
+    A plain name gives (name, None), ``name.attr`` gives (name, attr) and any
+    other attribute load gives (None, attr).
+    """
     stack = [node]
     while stack:
         n = stack.pop()
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(n, FUNCTIONS):
             args = n.args
             stack.extend(n.decorator_list + args.defaults + n.body)
             stack.extend(d for d in args.kw_defaults if d is not None)
+            continue
+        if isinstance(n, ast.ClassDef):
+            # The methods are walked on their own, once reached.
+            stack.extend(n.decorator_list + n.bases + [k.value for k in n.keywords])
+            stack.extend(stmt for stmt in n.body if not isinstance(stmt, FUNCTIONS))
             continue
         if isinstance(n, ast.AnnAssign):
             if n.value is not None:
@@ -41,9 +56,13 @@ def _uses(node):
             continue
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             yield n.id, None
-        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
-            yield n.value.id, n.attr
+        elif isinstance(n, ast.Attribute):
+            yield (n.value.id if isinstance(n.value, ast.Name) else None), n.attr
         stack.extend(ast.iter_child_nodes(n))
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 class _Module:
@@ -51,12 +70,17 @@ class _Module:
         self.name = name
         self.tree = ast.parse((SRC / f"{name}.py").read_text())
         self.defs = {}  # top-level name -> defining node
-        self.reported = set()  # the top-level functions and classes
+        self.reported = set()  # the top-level functions and classes, and "Class.method"
+        self.methods = {}  # class name -> {method name: node}
         self.imports = {}  # local name -> (module, name), name None for a module
         for stmt in self.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, FUNCTIONS + (ast.ClassDef,)):
                 self.defs[stmt.name] = stmt
                 self.reported.add(stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                methods = {m.name: m for m in stmt.body if isinstance(m, FUNCTIONS)}
+                self.methods[stmt.name] = methods
+                self.reported.update(f"{stmt.name}.{m}" for m in methods if not _is_dunder(m))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
@@ -71,6 +95,8 @@ class _Module:
                         self.imports[local] = (stmt.module, alias.name)
 
     def resolve(self, name, attr):
+        if name is None:
+            return None
         if name in self.defs:
             return self.name, name
         if name in self.imports:
@@ -85,17 +111,35 @@ class _Module:
 def unreached_definitions():
     modules = {path.stem: _Module(path.stem) for path in SRC.glob("*.py")}
     seen = set()
+    attributes = set()  # every attribute name that reached code loads
+    classes = []  # (module, class name) of each reached class
     stack = [(modules[root], modules[root].tree) for root in ROOTS]
+
+    def reach(module, name, node):
+        if (module.name, name) not in seen:
+            seen.add((module.name, name))
+            stack.append((module, node))
+
     while stack:
         module, node = stack.pop()
         for name, attr in _uses(node):
+            if attr is not None and attr not in attributes:
+                attributes.add(attr)
+                for owner, cls in classes:
+                    if attr in owner.methods[cls]:
+                        reach(owner, f"{cls}.{attr}", owner.methods[cls][attr])
             target = module.resolve(name, attr)
             if target is None or target in seen or target[0] not in modules:
                 continue
             owner = modules[target[0]]
-            if target[1] in owner.defs:
-                seen.add(target)
-                stack.append((owner, owner.defs[target[1]]))
+            if target[1] not in owner.defs:
+                continue
+            reach(owner, target[1], owner.defs[target[1]])
+            if target[1] in owner.methods:
+                classes.append((owner, target[1]))
+                for method, node in owner.methods[target[1]].items():
+                    if _is_dunder(method) or method in attributes:
+                        reach(owner, f"{target[1]}.{method}", node)
     return sorted(
         (module.name, name)
         for module in modules.values()
