@@ -1,7 +1,8 @@
 """Exact integer-coefficient polynomials and shape tests for coefficient sequences.
 
-Everything here is pure and exact: coefficients are Python ints, rationals
-appear only inside the Sturm real-root count.  Values are immutable after
+Everything here is pure and exact: coefficients are Python ints, and
+rationals appear only inside the gcd of the square-free reduction.  The Sturm
+chain is built from integer pseudo-remainders.  Values are immutable after
 construction, so they are safe to share across threads.
 """
 
@@ -459,22 +460,14 @@ def _frac_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
     return num
 
 
-def _scale_to_ints(a: list[Fraction]) -> IntPoly:
-    """Clear denominators and divide by the positive content; sign preserved."""
+def _primitive_from_fractions(a: list[Fraction]) -> IntPoly:
+    """Primitive integer form with positive leading coefficient."""
     if not a:
         return IntPoly.zero()
     denom = math.lcm(*(c.denominator for c in a))
     ints = [int(c * denom) for c in a]
-    g = math.gcd(*ints)
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return IntPoly(c // g for c in ints)
-
-
-def _primitive_from_fractions(a: list[Fraction]) -> IntPoly:
-    """Primitive integer form with positive leading coefficient."""
-    p = _scale_to_ints(a)
-    if not p.is_zero and p.coeffs[-1] < 0:
-        return -p
-    return p
 
 
 def _poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -501,10 +494,40 @@ def _sign_variations(values: Iterable[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
+def _primitive_prem(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
+    """Primitive part of |lc(b)|^(deg a - deg b + 1) * (a mod b), over the integers.
+
+    A positive multiple of the remainder, so its sign is kept.  Each degree
+    from deg a down to deg b takes one scale-and-subtract pass: scale by
+    |lc(b)| and cancel the top coefficient with a shifted copy of b (a zero
+    top only drops it, which changes the multiple but not its primitive
+    part).  The result is divided by its positive content.
+
+    >>> _primitive_prem((-3, 0, 1), (0, 2))  # X^2 - 3 mod 2X is -3
+    IntPoly((-1,))
+    """
+    r = list(a)
+    scale = abs(b[-1])
+    sb = b if b[-1] > 0 else [-c for c in b]
+    db = len(b) - 1
+    for k in range(len(r) - 1, db - 1, -1):
+        top = r.pop()
+        if top:
+            off = k - db
+            r = [scale * c for c in r[:off]] + [scale * c - top * d for c, d in zip(r[off:], sb)]
+    while r and not r[-1]:
+        r.pop()
+    if not r:
+        return IntPoly.zero()
+    g = math.gcd(*r)
+    return IntPoly(c // g for c in r)
+
+
 def sturm_chain(f: PolyLike) -> list[IntPoly]:
     """Standard Sturm sequence p0 = f, p1 = f', p_{i+1} = -rem(p_{i-1}, p_i).
 
-    Each member is rescaled by a positive rational to integer form; positive
+    Each later member is the primitive integer polynomial positively
+    proportional to -rem(p_{i-1}, p_i), from :func:`_primitive_prem`; positive
     scaling never changes sign variations, and keeping the sign of the
     remainder itself is what makes the chain a Sturm chain.
     """
@@ -515,8 +538,7 @@ def sturm_chain(f: PolyLike) -> list[IntPoly]:
     if p.degree >= 1:
         chain.append(p.derivative())
         while chain[-1].degree >= 1:
-            rem = _frac_rem(_to_fractions(chain[-2]), _to_fractions(chain[-1]))
-            nxt = _scale_to_ints(rem)
+            nxt = _primitive_prem(chain[-2].coeffs, chain[-1].coeffs)
             if nxt.is_zero:
                 break
             chain.append(-nxt)

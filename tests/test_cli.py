@@ -450,6 +450,17 @@ class TestInputContract:
         assert "error:" in capsys.readouterr().err
 
 
+def _fresh_process(*args):
+    """``python -m ARGS`` in a new interpreter that imports the gausslab under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gausslab.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 class TestOneProcess:
     ARGVS = (
         ["gauss", "6", "5"],
@@ -474,9 +485,7 @@ class TestOneProcess:
             in_process.append((code, capsys.readouterr().out))
         assert len(built) == 1
         for argv, (code, out) in zip(self.ARGVS, in_process):
-            fresh = subprocess.run(
-                [sys.executable, "-m", "gausslab.cli", *argv], capture_output=True, text=True
-            )
+            fresh = _fresh_process("gausslab.cli", *argv)
             assert (fresh.returncode, fresh.stdout) == (code, out)
 
     def test_build_parser_returns_a_fresh_parser(self):
@@ -495,13 +504,7 @@ class TestPythonDashM:
     def test_runs_main_with_its_output_and_exit_code(self, capsys, argv):
         code = main(list(argv))
         captured = capsys.readouterr()
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gausslab.__file__)))
-        fresh = subprocess.run(
-            [sys.executable, "-m", "gausslab", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        fresh = _fresh_process("gausslab", *argv)
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, captured.out, captured.err)
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausslab import criteria, polycore
 from gausslab.errors import (
@@ -297,6 +299,71 @@ class TestSturmAtInfinity:
             g = square_free_part(p)
             assert polycore._count_real_roots_square_free(g) == len(set(roots)), p
             assert is_real_rooted(p) == (len(roots) == p.degree), p
+
+
+def _fraction_chain(f):
+    """The Sturm chain by exact rational remainders, each later member scaled
+    to the primitive integer polynomial with the remainder's sign: the
+    reference that the integer pseudo-remainder chain must reproduce."""
+    chain = [f]
+    if f.degree >= 1:
+        chain.append(f.derivative())
+        while chain[-1].degree >= 1:
+            num = [Fraction(c) for c in chain[-2].coeffs]
+            den = chain[-1].coeffs
+            while len(num) >= len(den):
+                q = num[-1] / den[-1]
+                for j, c in enumerate(den):
+                    num[len(num) - len(den) + j] -= q * c
+                num.pop()
+            while num and not num[-1]:
+                num.pop()
+            if not num:
+                break
+            denom = math.lcm(*(c.denominator for c in num))
+            ints = [int(c * denom) for c in num]
+            g = math.gcd(*ints)
+            chain.append(IntPoly(-c // g for c in ints))
+    return chain
+
+
+def _primitive(p):
+    g = math.gcd(*p.coeffs)
+    return IntPoly(c // g for c in p.coeffs)
+
+
+class TestIntegerChain:
+    """The integer pseudo-remainder chain against the rational one and the gcd."""
+
+    def test_matches_the_fraction_chain(self):
+        for p in _random_products(17, 300):
+            for q in (p, -p, square_free_part(p)):
+                assert sturm_chain(q) == _fraction_chain(q), q
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=13))
+    def test_matches_the_fraction_chain_on_any_polynomial(self, coeffs):
+        p = IntPoly(coeffs)
+        if not p.is_zero:
+            assert sturm_chain(p) == _fraction_chain(p)
+
+    def test_negative_leading_divisor_keeps_the_remainder_sign(self):
+        # 3 - X^2 has the real roots +-sqrt(3); its derivative -2X has a
+        # negative leading coefficient, so a multiplier lc(b)^k of odd k
+        # would flip the last member's sign and read no roots at all.
+        p = IntPoly([3, 0, -1])
+        assert sturm_chain(p) == [p, IntPoly([0, -2]), IntPoly([-1])]
+        assert polycore._count_real_roots_square_free(p) == 2
+        assert is_real_rooted(p)
+
+    def test_chain_ends_in_the_gcd(self):
+        checked = 0
+        for p in _random_products(23, 300):
+            g = polycore._poly_gcd(p, p.derivative())
+            if g.degree >= 1:
+                checked += 1
+                assert _primitive(sturm_chain(p)[-1]) in (g, -g), p
+        assert checked >= 100
 
 
 class TestBorosMoll:
