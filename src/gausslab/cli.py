@@ -8,9 +8,9 @@ Each handler returns its JSON fields and whether its checked property holds.
 ``main`` alone adds the ``v`` and ``command`` fields, writes the document to
 stdout or ``--out``, and picks the exit code: 0 the property holds, 1 it is
 false, 2 a usage, domain or output error, 3 enumeration budget exceeded.
-Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1),
-``stirling n`` with n < 1, ``lym n`` with n < 0, and an ``--out`` file that
-cannot be written.
+Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1), a
+``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, and an
+``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -77,15 +77,23 @@ def _parse_coeffs(text: str) -> IntPoly:
 # -- gauss -----------------------------------------------------------------------
 
 
+def _budget(args) -> int:
+    """``--budget``, which must be >= 0: 0 is a budget every box exceeds."""
+    if args.budget < 0:
+        raise ValueError(f"need --budget >= 0, got {args.budget}")
+    return args.budget
+
+
 def _cmd_gauss(args) -> Result:
     a, b = args.a, args.b
+    budget = _budget(args)
     body = {"a": a, "b": b, "method": args.method}
     if args.method == "quotient":
         poly = qgauss.gaussian_quotient(a, b)
     elif args.method == "pascal":
         poly = qgauss.gaussian_pascal(a, b)
     elif args.method == "enum":
-        poly = IntPoly(qgauss.level_counts(a, b, args.budget))
+        poly = IntPoly(qgauss.level_counts(a, b, budget))
     else:
         rule = qgauss.ArgRule(args.koh_rule)
         poly, terms = qgauss.koh_sum(a, b, rule)
@@ -144,11 +152,12 @@ def _box_range(args) -> tuple[int, int]:
 
 def _cmd_injection_audit(args) -> Result:
     amax, bmax = _box_range(args)
+    budget = _budget(args)
     if args.rule == "all":
         rules = tuple(injectlab.InjectionRule)
     else:
         rules = (injectlab.RULE_BY_NUMBER[int(args.rule)],)
-    audits = injectlab.audit_all(amax, bmax, rules, args.budget)
+    audits = injectlab.audit_all(amax, bmax, rules, budget)
     claims = [injectlab.check_claim(r) for r in audits] if args.verify_claims else []
     if args.table:
         for r in audits:
@@ -290,6 +299,7 @@ def _cmd_paths_sagan(args) -> Result:
 
 def _cmd_report(args) -> Result:
     amax, bmax = _box_range(args)
+    budget = _budget(args)
     # The poset and path checks run first, so that their enumerations peak
     # before the audit objects are alive rather than on top of them.
     sperner = posetlab.max_antichain(4)
@@ -318,10 +328,10 @@ def _cmd_report(args) -> Result:
         "shift_identity_weight_families_m_le_8": criteria.weight_families_shift_hold(8),
     }
     shapes["pass"] = all(shapes.values())
-    counts = criteria.box_level_counts(amax, bmax, args.budget)
+    counts = criteria.box_level_counts(amax, bmax, budget)
     grid = criteria.gaussian_grid(counts)
     calibrated = criteria.calibration_holds(6, 6, counts)
-    audits = injectlab.audit_all(amax, bmax, budget=args.budget)
+    audits = injectlab.audit_all(amax, bmax, budget=budget)
     claims = [injectlab.check_claim(r) for r in audits]
     sections = {
         "gaussian": {
@@ -365,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=injectlab.DEFAULT_ENUMERATION_BUDGET,
-        help="most box partitions to enumerate; only --method enum obeys it, "
-        "the other routes ignore it",
+        help="most box partitions to enumerate (>= 0); only --method enum obeys it, "
+        "the other routes check it and ignore it",
     )
     p.set_defaults(handler=_cmd_gauss)
 

@@ -64,7 +64,11 @@ def _check_budget(a: int, b: int, budget: Optional[int]) -> None:
 
 
 def iter_box(a: int, b: int) -> Iterator[tuple[int, ...]]:
-    """All part tuples for the (a, b) box in ascending lexicographic order."""
+    """All part tuples for the (a, b) box in ascending lexicographic order.
+
+    Only the ordered levels of the audits (``enumerate_box``, ``levels``) use
+    it; ``qgauss.level_counts`` enumerates the box on its own, in no order.
+    """
 
     def rec(prefix: list[int], bound: int, remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Optional
 
 from . import injectlab
@@ -123,15 +125,17 @@ def level_counts(
     """(c_0, ..., c_ab): partitions in the (a, b) box counted by weight.
 
     Computed by direct enumeration; equals the coefficient sequence of
-    gaussian_quotient(a, b) and is palindromic.
+    gaussian_quotient(a, b) and is palindromic.  A partition in the box is a
+    multiset of a parts from 0..b, so ``combinations_with_replacement`` walks
+    the box on one reused tuple and ``Counter`` tallies the weights, both at
+    C level; the tally needs no order.  The budget is checked before anything
+    is enumerated.
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
     injectlab._check_budget(a, b, budget)
-    counts = [0] * (a * b + 1)
-    for parts in injectlab.iter_box(a, b):
-        counts[sum(parts)] += 1
-    return counts
+    weights = Counter(map(sum, combinations_with_replacement(range(b + 1), a)))
+    return [weights[k] for k in range(a * b + 1)]
 
 
 # -- multiplicity vectors and term assembly -------------------------------------

@@ -35,9 +35,9 @@ def test_criterion_01_g22_shape():
 def test_criterion_02_four_way_agreement():
     def body():
         grid = criteria.gaussian_grid(
-            criteria.box_level_counts(8, 8, injectlab.DEFAULT_ENUMERATION_BUDGET)
+            criteria.box_level_counts(10, 10, injectlab.DEFAULT_ENUMERATION_BUDGET)
         )
-        assert len(grid) == 64
+        assert len(grid) == 100
         # Besides route agreement, the printed argument rule reproduces the
         # polynomial exactly on the diagonal (where its leading factor
         # coincides with the corrected one).
@@ -45,7 +45,7 @@ def test_criterion_02_four_way_agreement():
         agreeing = [(c["a"], c["b"]) for c in grid if c["stated_rule_agrees"]]
         print(f"        stated-rule record: agrees on {agreeing}, disagrees elsewhere")
 
-    _criterion(2, "four-way Gaussian agreement a,b <= 8", 30.0, body)
+    _criterion(2, "four-way Gaussian agreement a,b <= 10", 30.0, body)
 
 
 def test_criterion_03_gaussian_unimodal_darga():

@@ -666,6 +666,12 @@ class TestExitTwo:
             ["stirling", "0"],
             ["stirling", "-3"],
             ["lym", "-1", "[]"],
+            ["gauss", "3", "3", "--method", "quotient", "--budget", "-1"],
+            ["gauss", "3", "3", "--method", "pascal", "--budget", "-1"],
+            ["gauss", "3", "3", "--method", "enum", "--budget", "-1"],
+            ["gauss", "3", "3", "--method", "koh", "--budget", "-1"],
+            ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "-1"],
+            ["report", "--amax", "1", "--bmax", "1", "--budget", "-5"],
         ],
     )
     def test_empty_or_meaningless_range(self, capsys, argv):
@@ -673,6 +679,18 @@ class TestExitTwo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: need ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss", "3", "3", "--method", "enum", "--budget", "0"],
+            ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "0"],
+            ["report", "--amax", "1", "--bmax", "1", "--budget", "0"],
+        ],
+    )
+    def test_zero_budget_is_exceeded_by_every_box(self, capsys, argv):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
 def _argv(*parts):

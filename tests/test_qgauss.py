@@ -110,14 +110,76 @@ class TestLevelCounts:
         assert sum(level_counts(3, 3)) == 20
 
     def test_matches_quotient(self):
-        for a in range(1, 6):
-            for b in range(1, 6):
+        for a in range(1, 12):
+            for b in range(1, 12):
                 assert level_counts(a, b) == list(gaussian_quotient(a, b).coeffs)
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetExceeded):
             level_counts(8, 8, budget=100)
         assert level_counts(2, 2, budget=None) == [1, 1, 2, 1, 1]
+
+    def test_matches_recursive_enumeration(self):
+        for a in range(10):
+            for b in range(10):
+                assert level_counts(a, b) == _recursive_level_counts(a, b), (a, b)
+
+    def test_matches_sympy_partitions(self):
+        iterables = pytest.importorskip("sympy.utilities.iterables")
+        for a in range(1, 8):
+            for b in range(1, 8):
+                # partitions(k, m=a, k=b): partitions of k into at most a parts,
+                # each at most b.
+                expected = [
+                    sum(1 for _ in iterables.partitions(k, m=a, k=b))
+                    for k in range(a * b + 1)
+                ]
+                assert level_counts(a, b) == expected, (a, b)
+
+    def test_never_walks_the_audits_ordered_generator(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("level_counts called injectlab.iter_box")
+
+        monkeypatch.setattr(injectlab, "iter_box", refuse)
+        assert level_counts(5, 4) == list(gaussian_quotient(5, 4).coeffs)
+
+    def test_budget_trips_before_any_iteration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated a box over budget")
+
+        monkeypatch.setattr(qgauss, "combinations_with_replacement", refuse)
+        with pytest.raises(EnumerationBudgetExceeded):
+            level_counts(14, 14)
+        with pytest.raises(AssertionError):
+            level_counts(2, 2)
+
+    def test_12_12_peak_memory(self):
+        tracemalloc.start()
+        try:
+            counts = level_counts(12, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts) == math.comb(24, 12)
+        assert peak < 64 * 2**10
+
+
+def _recursive_level_counts(a, b):
+    """The enumeration level_counts replaced: a recursive generator of part tuples."""
+
+    def rec(prefix, bound, remaining):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for v in range(bound + 1):
+            prefix.append(v)
+            yield from rec(prefix, v, remaining - 1)
+            prefix.pop()
+
+    counts = [0] * (a * b + 1)
+    for parts in rec([], b, a):
+        counts[sum(parts)] += 1
+    return counts
 
 
 class TestMultiplicityVectors:
@@ -215,8 +277,8 @@ class TestKoh:
 
 class TestLevelSizesConsistency:
     def test_enumeration_matches_injectlab(self):
-        for a in range(1, 5):
-            for b in range(1, 5):
+        for a in range(1, 9):
+            for b in range(1, 9):
                 by_level = injectlab.levels(a, b)
                 assert [len(lv) for lv in by_level] == level_counts(a, b)
 
