@@ -5,8 +5,8 @@ Submodules:
 - ``polycore``: integer polynomials and coefficient-shape tests
   (unimodality, log-concavity, palindromicity, darga, gamma vectors,
   Sturm real-rootedness, the nondecreasing-coefficient shift test).
-- ``qgauss``: q-integers, q-factorials, Gaussian polynomials by four
-  independent routes, and the multiplicity-vector term decomposition.
+- ``qgauss``: q-integers, q-factorials, Gaussian polynomials by four independent
+  routes, and the multiplicity-vector (KOH) sum with its width formulas in ``KOH_RULES``.
 - ``injectlab``: partitions in a box, candidate level-raising rules, and
   exhaustive failure audits.
 - ``posetlab``: subset lattice with antichain search and exact LYM sums,
@@ -17,7 +17,7 @@ Submodules:
 """
 
 from .polycore import IntPoly, GammaVector
-from .qgauss import ArgRule, MultiplicityVector
+from .qgauss import KOH_RULES, MultiplicityVector
 from .injectlab import AuditReport, BoxedPartition, InjectionRule
 from .posetlab import RankedPoset
 from .pathlab import GridLine, LineOrientation
@@ -25,7 +25,7 @@ from .pathlab import GridLine, LineOrientation
 __all__ = [
     "IntPoly",
     "GammaVector",
-    "ArgRule",
+    "KOH_RULES",
     "MultiplicityVector",
     "AuditReport",
     "BoxedPartition",

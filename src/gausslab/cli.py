@@ -95,9 +95,8 @@ def _cmd_gauss(args) -> Result:
     elif args.method == "enum":
         poly = IntPoly(qgauss.level_counts(a, b, budget))
     else:
-        rule = qgauss.ArgRule(args.koh_rule)
-        poly, terms = qgauss.koh_sum(a, b, rule)
-        body["rule"] = rule.value
+        poly, terms = qgauss.koh_sum(a, b, qgauss.KOH_RULES[args.koh_rule])
+        body["rule"] = args.koh_rule
         if args.terms:
             body["terms"] = [t.to_json_dict() for t in terms]
     body["coeffs"] = poly.to_json()
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=["quotient", "pascal", "enum", "koh"], default="quotient"
     )
-    p.add_argument("--koh-rule", choices=["stated", "calibrated"], default="calibrated")
+    p.add_argument("--koh-rule", choices=list(qgauss.KOH_RULES), default="calibrated")
     p.add_argument("--terms", action="store_true", help="dump the per-term breakdown")
     p.add_argument(
         "--budget",

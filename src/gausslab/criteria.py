@@ -85,8 +85,8 @@ def gaussian_grid(counts: Mapping[tuple[int, int], list[int]]) -> list[dict]:
         quotient = qgauss.gaussian_quotient(a, b)
         pascal = qgauss.gaussian_pascal(a, b)
         enum_counts = IntPoly(level_counts)
-        koh_cal, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.CALIBRATED)
-        koh_stated, _ = qgauss.koh_sum(a, b, qgauss.ArgRule.STATED)
+        koh_cal, _ = qgauss.koh_sum(a, b, qgauss.KOH_RULES["calibrated"])
+        koh_stated, _ = qgauss.koh_sum(a, b, qgauss.KOH_RULES["stated"])
         grid.append(
             {
                 "a": a,
@@ -125,7 +125,7 @@ def calibration_holds(
         _, formula = qgauss.calibrate_argument_rule(max_a, max_b, counts)
     except RuntimeError:
         return False
-    return formula is qgauss.ARGUMENT_FORMULAS[qgauss.ArgRule.CALIBRATED]
+    return formula is qgauss.KOH_RULES["calibrated"]
 
 
 def _allowed_verdicts(rule: InjectionRule, a: int, b: int) -> set[ClaimVerdict]:

@@ -56,6 +56,9 @@ class BoxedPartition:
 
 
 def _check_budget(a: int, b: int, budget: Optional[int]) -> None:
+    """None is no limit; a negative budget is a usage error, not one every box exceeds."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if budget is not None and math.comb(a + b, a) > budget:
         raise EnumerationBudgetExceeded(
             f"box ({a},{b}) holds C({a + b},{a}) = {math.comb(a + b, a)} partitions"

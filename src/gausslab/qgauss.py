@@ -8,7 +8,6 @@ all four is the point of this module.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ from .polycore import (
     slot_bytes,
     unpack,
 )
-
-DEFAULT_ENUMERATION_BUDGET = injectlab.DEFAULT_ENUMERATION_BUDGET
 
 
 def q_int(k: int) -> IntPoly:
@@ -120,7 +117,7 @@ def gaussian_pascal(a: int, b: int) -> IntPoly:
 
 
 def level_counts(
-    a: int, b: int, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
+    a: int, b: int, budget: Optional[int] = injectlab.DEFAULT_ENUMERATION_BUDGET
 ) -> list[int]:
     """(c_0, ..., c_ab): partitions in the (a, b) box counted by weight.
 
@@ -178,18 +175,6 @@ def koh_multiplicity_vectors(b: int) -> tuple[MultiplicityVector, ...]:
     return tuple(MultiplicityVector(d, b) for d in sorted(out))
 
 
-class ArgRule(enum.Enum):
-    """Which argument formula feeds the per-factor box widths.
-
-    STATED is the formula exactly as printed in the source identity;
-    CALIBRATED is the corrected formula selected by
-    :func:`calibrate_argument_rule` against the enumeration oracle.
-    """
-
-    STATED = "stated"
-    CALIBRATED = "calibrated"
-
-
 # (a, b, i, tail) -> a_i, the width of factor i, where tail is
 # sum_{j<i} 2 (i - j) d_{b-j}; koh_terms carries it as a running sum.
 ArgumentFormula = Callable[[int, int, int, int], int]
@@ -219,10 +204,8 @@ CALIBRATION_CANDIDATES: tuple[tuple[str, ArgumentFormula], ...] = (
     ("leading-b-to-a", calibrated_argument),
 )
 
-ARGUMENT_FORMULAS: dict[ArgRule, ArgumentFormula] = {
-    ArgRule.STATED: stated_argument,
-    ArgRule.CALIBRATED: calibrated_argument,
-}
+# The KOH width formulas by name: as printed in the source identity, and as calibrated.
+KOH_RULES = {"stated": stated_argument, "calibrated": calibrated_argument}
 
 
 def koh_exponent(dv: MultiplicityVector) -> int:
@@ -269,21 +252,7 @@ class KohTerm:
         }
 
 
-def _resolve_argument(rule, argument: Optional[ArgumentFormula]) -> ArgumentFormula:
-    if argument is not None:
-        return argument
-    if isinstance(rule, ArgRule):
-        return ARGUMENT_FORMULAS[rule]
-    raise ValueError(f"unknown argument rule {rule!r}")
-
-
-def koh_terms(
-    a: int,
-    b: int,
-    rule: ArgRule = ArgRule.CALIBRATED,
-    *,
-    argument: Optional[ArgumentFormula] = None,
-) -> list[KohTerm]:
+def koh_terms(a: int, b: int, argument: ArgumentFormula = calibrated_argument) -> list[KohTerm]:
     """Assemble one term per multiplicity vector (see :class:`KohTerm`).
 
     The exponent and the b argument widths of a vector take O(b) arithmetic
@@ -297,7 +266,6 @@ def koh_terms(
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
-    arg = _resolve_argument(rule, argument)
     terms = []
     for dv in koh_multiplicity_vectors(b):
         exponent = koh_exponent(dv)
@@ -311,7 +279,7 @@ def koh_terms(
         # running sums of b_j and j b_j over the factors j < i.
         s = t = 0
         for i in range(b):
-            a_i = arg(a, b, i, 2 * (i * s - t))
+            a_i = argument(a, b, i, 2 * (i * s - t))
             b_i = dv.d[b - 1 - i]
             pairs.append((a_i, b_i))
             if b_i > 0 and a_i < 0:
@@ -343,14 +311,18 @@ def koh_terms(
 
 
 def koh_sum(
-    a: int,
-    b: int,
-    rule: ArgRule = ArgRule.CALIBRATED,
-    *,
-    argument: Optional[ArgumentFormula] = None,
+    a: int, b: int, argument: ArgumentFormula = calibrated_argument
 ) -> tuple[IntPoly, list[KohTerm]]:
-    """The assembled sum plus its per-term breakdown."""
-    terms = koh_terms(a, b, rule, argument=argument)
+    """The assembled sum plus its per-term breakdown.
+
+    Off the diagonal only the calibrated formula, the default, gives G(a, b):
+
+    >>> koh_sum(4, 2, KOH_RULES["stated"])[0] == gaussian_quotient(4, 2)
+    False
+    >>> koh_sum(4, 2)[0] == gaussian_quotient(4, 2)
+    True
+    """
+    terms = koh_terms(a, b, argument)
     total = IntPoly.zero()
     for term in terms:
         total = total + term.poly
@@ -378,7 +350,7 @@ def calibrate_argument_rule(
     }
     for name, formula in CALIBRATION_CANDIDATES:
         if all(
-            list(koh_sum(a, b, argument=formula)[0].coeffs) == counts
+            list(koh_sum(a, b, formula)[0].coeffs) == counts
             for (a, b), counts in oracle.items()
         ):
             return name, formula

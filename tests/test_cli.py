@@ -52,6 +52,18 @@ class TestGauss:
         assert code == 0
         assert json.loads(out)["coeffs"] != ["1", "1", "2", "2", "3", "2", "2", "1", "1"]
 
+    @pytest.mark.parametrize("rule", list(qgauss.KOH_RULES))
+    def test_koh_rule_is_named_in_the_output(self, capsys, rule):
+        code, out = run(capsys, "gauss", "4", "2", "--method", "koh", "--koh-rule", rule)
+        assert code == 0
+        assert json.loads(out)["rule"] == rule
+
+    def test_koh_rule_outside_the_table_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["gauss", "4", "2", "--method", "koh", "--koh-rule", "minimal"])
+        assert "invalid choice" in capsys.readouterr().err
+        assert err.value.code == 2
+
     def test_byte_identical_reruns(self, capsys):
         _, first = run(capsys, "gauss", "5", "3", "--method", "koh", "--terms")
         _, second = run(capsys, "gauss", "5", "3", "--method", "koh", "--terms")
@@ -261,9 +273,7 @@ class TestReport:
 
 
 def _stated_rule_is_calibrated(monkeypatch):
-    monkeypatch.setitem(
-        qgauss.ARGUMENT_FORMULAS, qgauss.ArgRule.STATED, qgauss.calibrated_argument
-    )
+    monkeypatch.setitem(qgauss.KOH_RULES, "stated", qgauss.calibrated_argument)
 
 
 def _max_wt_claim_one_level_up(monkeypatch):
@@ -311,7 +321,7 @@ def _one_box_not_palindromic(monkeypatch):
         route = getattr(qgauss, name)
 
         def patched(a, b, *args, route=route, value=value, **kwargs):
-            if (a, b) == (2, 3) and qgauss.ArgRule.STATED not in args:
+            if (a, b) == (2, 3) and qgauss.KOH_RULES["stated"] not in args:
                 return value
             return route(a, b, *args, **kwargs)
 

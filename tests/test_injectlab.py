@@ -60,6 +60,10 @@ class TestEnumeration:
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_box(10, 10, budget=1000)
 
+    def test_negative_budget_is_a_usage_error(self):
+        with pytest.raises(ValueError, match="budget >= 0"):
+            audit(InjectionRule.MAX_WT, 3, 3, budget=-1)
+
     def test_level_symmetry_under_conjugation(self):
         for a in range(1, 5):
             for b in range(1, 5):

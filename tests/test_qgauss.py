@@ -8,9 +8,8 @@ from gausslab import injectlab, polycore, qgauss
 from gausslab.errors import EnumerationBudgetExceeded, SlotOverflow
 from gausslab.polycore import IntPoly, darga, is_darga_palindromic, is_log_concave
 from gausslab.qgauss import (
-    ARGUMENT_FORMULAS,
-    ArgRule,
     CALIBRATION_CANDIDATES,
+    KOH_RULES,
     MultiplicityVector,
     calibrate_argument_rule,
     calibrated_argument,
@@ -118,6 +117,10 @@ class TestLevelCounts:
         with pytest.raises(EnumerationBudgetExceeded):
             level_counts(8, 8, budget=100)
         assert level_counts(2, 2, budget=None) == [1, 1, 2, 1, 1]
+
+    def test_negative_budget_is_a_usage_error(self):
+        with pytest.raises(ValueError, match="budget >= 0"):
+            level_counts(3, 3, budget=-1)
 
     def test_matches_recursive_enumeration(self):
         for a in range(10):
@@ -247,10 +250,10 @@ class TestKoh:
         assert flagged[0].darga is None
 
     def test_stated_rule_disagrees_off_diagonal(self):
-        stated, _ = koh_sum(4, 2, ArgRule.STATED)
+        stated, _ = koh_sum(4, 2, KOH_RULES["stated"])
         assert stated != gaussian_quotient(4, 2)
         for n in range(1, 6):
-            diag, _ = koh_sum(n, n, ArgRule.STATED)
+            diag, _ = koh_sum(n, n, KOH_RULES["stated"])
             assert diag == gaussian_quotient(n, n)
 
     def test_calibration_selects_second_candidate(self):
@@ -259,7 +262,7 @@ class TestKoh:
         assert name == CALIBRATION_CANDIDATES[1][0]
 
     def test_first_candidate_fails(self):
-        total, _ = koh_sum(2, 2, argument=minimal_edit_argument)
+        total, _ = koh_sum(2, 2, minimal_edit_argument)
         assert total != gaussian_quotient(2, 2)
 
     def test_agreement_up_to_six(self):
@@ -320,7 +323,7 @@ def _schoolbook_terms(a, b, rule):
     """Each term as (multiplicities, exponent, factors, poly, darga, negatives),
     its exponent and widths from the pairwise sums above and its live factors
     multiplied one by one with IntPoly's schoolbook product."""
-    arg = ARGUMENT_FORMULAS[rule]
+    arg = KOH_RULES[rule]
     out = []
     for dv in koh_multiplicity_vectors(b):
         exponent = _quadratic_exponent(dv.d, b)
@@ -356,7 +359,7 @@ class TestRunningSums:
                 tails.append(tail)
                 return -1  # every live factor is negative, so no term is assembled
 
-            koh_terms(0, b, argument=record)
+            koh_terms(0, b, record)
             expected = [
                 _quadratic_tail(dv.d, b, i) for dv in koh_multiplicity_vectors(b) for i in range(b)
             ]
@@ -372,14 +375,14 @@ class TestPackedKernels:
     def test_pascal_matches_the_dict_recurrence_on_large_boxes(self, a, b):
         assert gaussian_pascal(a, b) == _pascal_table(a, b)[a, b]
 
-    @pytest.mark.parametrize("rule", list(ArgRule))
+    @pytest.mark.parametrize("rule", list(KOH_RULES))
     def test_every_koh_term_matches_the_schoolbook_assembly(self, rule):
         for a in range(10):
             for b in range(10):
                 got = [
                     (t.multiplicities, t.exponent, t.factors, t.poly, t.darga,
                      t.negative_factor_indexes)
-                    for t in koh_terms(a, b, rule)
+                    for t in koh_terms(a, b, KOH_RULES[rule])
                 ]
                 assert got == _schoolbook_terms(a, b, rule), (a, b, rule)
 
