@@ -329,7 +329,7 @@ def _cmd_report(args) -> Result:
     shapes["pass"] = all(shapes.values())
     counts = criteria.box_level_counts(amax, bmax, budget)
     grid = criteria.gaussian_grid(counts)
-    calibrated = criteria.calibration_holds(6, 6, counts)
+    calibrated = criteria.calibration_holds(counts)
     audits = injectlab.audit_all(amax, bmax, budget=budget)
     claims = [injectlab.check_claim(r) for r in audits]
     sections = {

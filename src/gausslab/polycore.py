@@ -589,15 +589,6 @@ def boros_moll_P(m: int, r: int) -> IntPoly:
     return binomial_power(m + 1) - binomial_power(r)
 
 
-def _require_nonneg_nondecreasing(p: IntPoly) -> None:
-    a = p.coeffs
-    if a and a[0] < 0:
-        raise PreconditionViolated("negative coefficient at index 0")
-    for k in range(1, len(a)):
-        if a[k] < a[k - 1]:
-            raise PreconditionViolated(f"coefficients decrease at index {k}")
-
-
 def shift_by_one(f: PolyLike) -> IntPoly:
     """f(X + 1) by exact binomial expansion (Horner in X + 1)."""
     p = as_poly(f)
@@ -608,76 +599,17 @@ def shift_by_one(f: PolyLike) -> IntPoly:
     return acc
 
 
-def shifted_is_unimodal(f: PolyLike) -> bool:
-    """Test unimodality of f(X+1) for f with nonnegative nondecreasing coefficients.
-
-    The hypothesis guarantees the answer is True; the precondition is checked,
-    not assumed, and its violation raises PreconditionViolated.
-    """
-    p = as_poly(f)
-    _require_nonneg_nondecreasing(p)
-    return is_unimodal(shift_by_one(p))
-
-
 def decompose_shift(f: PolyLike) -> tuple[int, ...]:
     """First-difference weights (a_0, a_1 - a_0, ..., a_n - a_{n-1}).
 
     For nonnegative nondecreasing f these are the nonnegative weights in the
     exact identity X * f(X+1) = sum_k (a_k - a_{k-1}) * P_{n,k}(X) with
-    P from :func:`boros_moll_P`.
+    P from :func:`boros_moll_P`.  Any other f raises PreconditionViolated.
     """
-    p = as_poly(f)
-    _require_nonneg_nondecreasing(p)
-    a = p.coeffs
+    a = as_poly(f).coeffs
+    if a and a[0] < 0:
+        raise PreconditionViolated("negative coefficient at index 0")
+    for k in range(1, len(a)):
+        if a[k] < a[k - 1]:
+            raise PreconditionViolated(f"coefficients decrease at index {k}")
     return tuple(a[k] - (a[k - 1] if k else 0) for k in range(len(a)))
-
-
-# -- nondecreasing weight families --------------------------------------------
-#
-# Each builder returns the polynomial sum_j w_j X^j for a weight family that
-# is nonnegative and nondecreasing, so shifted_is_unimodal applies and the
-# binomial transform a_k = sum_{j>=k} w_j C(j, k) (the coefficients of
-# f(X+1)) is unimodal.
-
-
-def geometric_weight_poly(base: int, m: int) -> IntPoly:
-    """Weights w_j = base^j for j = 0..m (base >= 1)."""
-    if base < 1 or m < 0:
-        raise ValueError("need base >= 1 and m >= 0")
-    return IntPoly(base**j for j in range(m + 1))
-
-
-def power_weight_poly(exponent: int, m: int) -> IntPoly:
-    """Weights w_j = j^exponent for j = 0..m (exponent >= 1)."""
-    if exponent < 1 or m < 0:
-        raise ValueError("need exponent >= 1 and m >= 0")
-    return IntPoly(j**exponent for j in range(m + 1))
-
-
-def self_power_weight_poly(m: int) -> IntPoly:
-    """Weights w_j = j^j for j = 0..m, with 0^0 = 1."""
-    if m < 0:
-        raise ValueError("need m >= 0")
-    return IntPoly(j**j for j in range(m + 1))
-
-
-def binomial_product_weight_poly(factors: Sequence[tuple[int, int]], m: int) -> IntPoly:
-    """Weights w_j = prod_i C(a_i * m, j)^{n_i} for factor list [(a_i, n_i)].
-
-    Requires 2 < a_1 < a_2 < ... and positive n_i, which keeps the weights
-    nondecreasing on j <= m.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    prev = 2
-    for a, n in factors:
-        if a <= prev or n < 1:
-            raise ValueError("factor bases must satisfy 2 < a_1 < a_2 < ... with n_i >= 1")
-        prev = a
-    weights = []
-    for j in range(m + 1):
-        w = 1
-        for a, n in factors:
-            w *= math.comb(a * m, j) ** n
-        weights.append(w)
-    return IntPoly(weights)

@@ -229,22 +229,9 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
 
 
 def eulerian(n: int) -> IntPoly:
-    """Generating polynomial of the descent statistic over permutations of 1..n.
-
-    Direct enumeration through n = 9; the standard two-term recurrence beyond.
+    """Generating polynomial of the descent statistic over permutations of 1..n,
+    by the recurrence A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1), row by row.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n <= 9:
-        counts = [0] * n
-        for w in itertools.permutations(range(1, n + 1)):
-            counts[sum(1 for i in range(n - 1) if w[i] > w[i + 1])] += 1
-        return IntPoly(counts)
-    return eulerian_recurrence(n)
-
-
-def eulerian_recurrence(n: int) -> IntPoly:
-    """A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1), row by row."""
     if n < 1:
         raise ValueError("need n >= 1")
     row = [1]

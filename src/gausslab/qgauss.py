@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from . import injectlab
 from .errors import NegativeExponent, SlotOverflow
@@ -186,23 +186,22 @@ def stated_argument(a: int, b: int, i: int, tail: int) -> int:
 
 
 def minimal_edit_argument(a: int, b: int, i: int, tail: int) -> int:
-    """First calibration candidate: a - 2i + tail (a for the printed leading term)."""
+    """Minimal edit of the printed formula: a - 2i + tail (a for the leading term).
+
+    The calibration check requires it to fail against the enumeration.
+    """
     return a - 2 * i + tail
 
 
 def calibrated_argument(a: int, b: int, i: int, tail: int) -> int:
-    """Second calibration candidate: (b - i) * a - 2i + tail (b -> a in the leading product).
+    """Calibrated formula: (b - i) * a - 2i + tail (b -> a in the leading product).
 
-    This is the rule the calibration harness selects; every term it builds is
-    darga-palindromic with darga a*b, as the inductive argument requires.
+    It reproduces the enumeration on every box the calibration check covers;
+    every term it builds is darga-palindromic with darga a*b, as the inductive
+    argument requires.
     """
     return (b - i) * a - 2 * i + tail
 
-
-CALIBRATION_CANDIDATES: tuple[tuple[str, ArgumentFormula], ...] = (
-    ("keep-leading-term-drop-b", minimal_edit_argument),
-    ("leading-b-to-a", calibrated_argument),
-)
 
 # The KOH width formulas by name: as printed in the source identity, and as calibrated.
 KOH_RULES = {"stated": stated_argument, "calibrated": calibrated_argument}
@@ -328,30 +327,3 @@ def koh_sum(
         total = total + term.poly
     return total, terms
 
-
-def calibrate_argument_rule(
-    max_a: int = 6,
-    max_b: int = 6,
-    known_counts: Optional[Mapping[tuple[int, int], list[int]]] = None,
-) -> tuple[str, ArgumentFormula]:
-    """First formula of CALIBRATION_CANDIDATES whose sums match the enumeration oracle.
-
-    Candidates are tried in order on every box with 1 <= a <= max_a,
-    1 <= b <= max_b; a candidate is disqualified by any mismatch.  The oracle
-    takes a box's :func:`level_counts` from ``known_counts`` when it holds the
-    box, and enumerates only the boxes it lacks.  Raises RuntimeError if none
-    matches everywhere.
-    """
-    known = known_counts or {}
-    oracle = {
-        (a, b): known[a, b] if (a, b) in known else level_counts(a, b)
-        for a in range(1, max_a + 1)
-        for b in range(1, max_b + 1)
-    }
-    for name, formula in CALIBRATION_CANDIDATES:
-        if all(
-            list(koh_sum(a, b, formula)[0].coeffs) == counts
-            for (a, b), counts in oracle.items()
-        ):
-            return name, formula
-    raise RuntimeError("no candidate argument formula matches the enumeration oracle")

@@ -17,13 +17,11 @@ from gausslab.polycore import (
     GammaVector,
     IntPoly,
     binomial_power,
-    binomial_product_weight_poly,
     boros_moll_P,
     darga,
     decompose_shift,
     div_exact,
     gamma_decompose,
-    geometric_weight_poly,
     is_darga_palindromic,
     is_gamma_nonnegative,
     is_log_concave,
@@ -31,10 +29,7 @@ from gausslab.polycore import (
     is_real_rooted,
     is_unimodal,
     mode,
-    power_weight_poly,
-    self_power_weight_poly,
     shift_by_one,
-    shifted_is_unimodal,
     square_free_part,
     sturm_chain,
 )
@@ -389,20 +384,21 @@ class TestBorosMoll:
 class TestShiftTest:
     def test_monomial_gives_binomials(self):
         f = IntPoly([0, 0, 0, 0, 1])
-        assert shifted_is_unimodal(f)
+        assert is_unimodal(shift_by_one(f))
         assert shift_by_one(f) == binomial_power(4)
 
     def test_small_example(self):
         assert shift_by_one([1, 1, 1]).coeffs == (3, 3, 1)
-        assert shifted_is_unimodal([1, 1, 1])
+        assert is_unimodal(shift_by_one([1, 1, 1]))
 
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
-            shifted_is_unimodal([2, 1])
+            decompose_shift([2, 1])
         with pytest.raises(PreconditionViolated):
-            shifted_is_unimodal([-1, 0])
+            decompose_shift([-1, 0])
         # The shared check reads a broken precondition as a false verdict.
         assert not criteria.shift_identity_holds(IntPoly([2, 1]))
+        assert not criteria.shift_identity_holds(IntPoly([-1, 0]))
 
     def test_decompose_shift_identity(self):
         for coeffs in [(1, 1, 1), (0, 2, 2, 5), (3, 3, 4, 4, 9)]:
@@ -418,6 +414,10 @@ class TestShiftTest:
             assert shift_by_one(f).shift(1) == rhs
 
 
+def _family_member(w, m):
+    return IntPoly(w(j, m) for j in range(m + 1))
+
+
 class TestWeightFamilies:
     @staticmethod
     def _binomial_transform(weights):
@@ -430,23 +430,35 @@ class TestWeightFamilies:
     @pytest.mark.parametrize(
         "poly",
         [
-            geometric_weight_poly(3, 6),
-            power_weight_poly(4, 7),
-            self_power_weight_poly(6),
-            binomial_product_weight_poly([(3, 1), (5, 2)], 4),
+            _family_member(w, m)
+            for w, m in zip(criteria.WEIGHT_FAMILIES, (6, 7, 6, 4), strict=True)
         ],
     )
     def test_families_pass_shift_test(self, poly):
-        assert shifted_is_unimodal(poly)
+        assert criteria.shift_identity_holds(poly)
         transformed = shift_by_one(poly)
         expected = self._binomial_transform(list(poly.coeffs))
         assert list(transformed.coeffs) == expected
         assert is_unimodal(transformed)
 
-    def test_family_validation(self):
-        with pytest.raises(ValueError):
-            geometric_weight_poly(0, 3)
-        with pytest.raises(ValueError):
-            binomial_product_weight_poly([(2, 1)], 3)
-        with pytest.raises(ValueError):
-            binomial_product_weight_poly([(3, 1), (3, 1)], 3)
+    def test_families_are_the_documented_weights(self):
+        geometric, power, self_power, binomial = criteria.WEIGHT_FAMILIES
+        assert _family_member(geometric, 3).coeffs == (1, 3, 9, 27)
+        assert _family_member(power, 3).coeffs == (0, 1, 16, 81)
+        assert _family_member(self_power, 3).coeffs == (1, 1, 4, 27)
+        assert _family_member(binomial, 1).coeffs == (1, 3 * 5**2)
+
+    @pytest.mark.parametrize("family", range(4))
+    def test_families_are_nonnegative_and_nondecreasing(self, family):
+        w = criteria.WEIGHT_FAMILIES[family]
+        for m in range(1, 9):
+            weights = [w(j, m) for j in range(m + 1)]
+            assert weights[0] >= 0
+            assert all(x <= y for x, y in zip(weights, weights[1:]))
+
+    def test_a_decreasing_family_fails_the_shift_check(self, monkeypatch):
+        assert criteria.weight_families_shift_hold(2)
+        monkeypatch.setattr(
+            criteria, "WEIGHT_FAMILIES", criteria.WEIGHT_FAMILIES + (lambda j, m: m - j,)
+        )
+        assert not criteria.weight_families_shift_hold(2)

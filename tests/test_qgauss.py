@@ -4,14 +4,12 @@ import tracemalloc
 
 import pytest
 
-from gausslab import injectlab, polycore, qgauss
+from gausslab import criteria, injectlab, polycore, qgauss
 from gausslab.errors import EnumerationBudgetExceeded, SlotOverflow
 from gausslab.polycore import IntPoly, darga, is_darga_palindromic, is_log_concave
 from gausslab.qgauss import (
-    CALIBRATION_CANDIDATES,
     KOH_RULES,
     MultiplicityVector,
-    calibrate_argument_rule,
     calibrated_argument,
     gaussian_pascal,
     gaussian_quotient,
@@ -256,10 +254,38 @@ class TestKoh:
             diag, _ = koh_sum(n, n, KOH_RULES["stated"])
             assert diag == gaussian_quotient(n, n)
 
-    def test_calibration_selects_second_candidate(self):
-        name, formula = calibrate_argument_rule(5, 5)
-        assert formula is calibrated_argument
-        assert name == CALIBRATION_CANDIDATES[1][0]
+    def test_calibration_selects_second_candidate(self, monkeypatch):
+        # The minimal edit fails somewhere up to 6x6 and the calibrated rule
+        # holds on every box; either rule swapped for the other fails the check.
+        assert criteria.calibration_holds({})
+        with monkeypatch.context() as m:
+            m.setattr(qgauss, "minimal_edit_argument", calibrated_argument)
+            assert not criteria.calibration_holds({})
+        monkeypatch.setitem(KOH_RULES, "calibrated", minimal_edit_argument)
+        assert not criteria.calibration_holds({})
+
+    def test_calibration_enumerates_only_the_boxes_it_lacks(self, monkeypatch):
+        calls = []
+        enumerate_counts = qgauss.level_counts
+
+        def counted(a, b, *rest):
+            calls.append((a, b))
+            return enumerate_counts(a, b, *rest)
+
+        monkeypatch.setattr(qgauss, "level_counts", counted)
+        assert criteria.calibration_holds({})
+        assert sorted(calls) == [(a, b) for a in range(1, 7) for b in range(1, 7)]
+        calls.clear()
+        known = {(a, b): enumerate_counts(a, b) for a in range(1, 4) for b in range(1, 4)}
+        assert criteria.calibration_holds(known)
+        assert len(calls) == len(set(calls)) == 27
+        assert not set(calls) & set(known)
+
+    @pytest.mark.parametrize("box", [(1, 1), (4, 3), (6, 6)])
+    def test_calibration_fails_on_one_corrupted_box(self, box):
+        counts = criteria.box_level_counts(6, 6, None)
+        counts[box] = counts[box][:-1] + [counts[box][-1] + 1]
+        assert not criteria.calibration_holds(counts)
 
     def test_first_candidate_fails(self):
         total, _ = koh_sum(2, 2, minimal_edit_argument)

@@ -24,7 +24,7 @@ ROOTS = ("cli", "criteria", "__main__")
 TEST_REFERENCES = {
     ("polycore", "pack"): "the packed format that unpack inverts, written out once",
     ("pathlab", "reflect_through_point"): "the point symmetry compared with line reflection",
-    ("posetlab", "des"): "the descent count that eulerian's inline count is tested against",
+    ("posetlab", "des"): "the descent count that eulerian's recurrence is tested against",
     ("polycore", "GammaVector.reconstruct"): "the inverse the gamma re-expansion tests use",
 }
 
