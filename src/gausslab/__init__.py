@@ -17,7 +17,7 @@ Submodules:
 """
 
 from .polycore import IntPoly, GammaVector
-from .qgauss import KOH_RULES, MultiplicityVector
+from .qgauss import KOH_RULES
 from .injectlab import AuditReport, BoxedPartition, InjectionRule
 from .posetlab import RankedPoset
 from .pathlab import GridLine, LineOrientation
@@ -26,7 +26,6 @@ __all__ = [
     "IntPoly",
     "GammaVector",
     "KOH_RULES",
-    "MultiplicityVector",
     "AuditReport",
     "BoxedPartition",
     "InjectionRule",

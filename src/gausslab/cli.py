@@ -203,7 +203,7 @@ def _cmd_sperner(args) -> Result:
         "total_antichains": str(search.total_antichains),
         "bound_holds": search.bound_holds,
     }
-    return body, criteria.sperner_holds(search, n)
+    return body, criteria.sperner_holds(search)
 
 
 def _cmd_lym(args) -> Result:
@@ -313,7 +313,7 @@ def _cmd_report(args) -> Result:
         "stirling_rows_unimodal_n_le_8": criteria.stirling_rows_hold(8),
         "eulerian_suite_n_le_7": criteria.eulerian_suite_holds(7),
     }
-    posets["pass"] = criteria.sperner_holds(sperner, 4) and all(
+    posets["pass"] = criteria.sperner_holds(sperner) and all(
         value for value in posets.values() if isinstance(value, bool)
     )
     paths = {

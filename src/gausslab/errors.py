@@ -21,10 +21,6 @@ class PreconditionViolated(GausslabError):
     """Input fails a documented precondition (e.g. coefficients decrease)."""
 
 
-class NegativeExponent(GausslabError):
-    """A term-assembly rule produced a negative monomial prefactor exponent."""
-
-
 class SlotOverflow(GausslabError):
     """A packed-integer product's coefficients did not fit their slots."""
 

@@ -167,7 +167,6 @@ RULE_BY_NUMBER = {
     3: InjectionRule.MIN_BASE_VALUE,
     4: InjectionRule.MAX_WT,
 }
-NUMBER_BY_RULE = {rule: num for num, rule in RULE_BY_NUMBER.items()}
 
 
 def _column_fill(p: BoxedPartition) -> BoxedPartition:
@@ -409,8 +408,6 @@ def check_claim(first: AuditReport) -> WitnessCheck:
 
     if witnesses is None or any(w is None for w in witnesses):
         return finish(ClaimVerdict.NOT_APPLICABLE, "claimed witnesses invalid in this box")
-    if not all(w.weight == claimed_k for w in witnesses):
-        return finish(ClaimVerdict.NOT_APPLICABLE, "claimed witnesses miss the claimed level")
     if claimed_k >= middle:
         return finish(
             ClaimVerdict.NOT_APPLICABLE,
@@ -424,11 +421,7 @@ def check_claim(first: AuditReport) -> WitnessCheck:
             ClaimVerdict.NOT_A_FAILURE, f"rule is defined, image {image.parts}"
         )
     lam, dell = witnesses
-    if lam.parts == dell.parts:
-        return finish(ClaimVerdict.NOT_APPLICABLE, "claimed witnesses coincide")
     img_l, img_d = apply_rule(rule, lam), apply_rule(rule, dell)
-    if img_l is None or img_d is None:
-        return finish(ClaimVerdict.NOT_A_FAILURE, "rule undefined on a claimed witness")
     if img_l.parts == img_d.parts:
         return finish(
             ClaimVerdict.CONFIRMED, f"witnesses collide on image {img_l.parts}"

@@ -341,10 +341,6 @@ def mode(f: PolyLike) -> int | None:
     return j
 
 
-def is_nonnegative(f: PolyLike) -> bool:
-    return all(c >= 0 for c in as_poly(f).coeffs)
-
-
 def is_log_concave(f: PolyLike) -> bool:
     """a_k^2 >= a_{k-1} * a_{k+1} for all internal indices of the stored sequence."""
     a = as_poly(f).coeffs

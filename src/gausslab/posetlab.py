@@ -63,8 +63,10 @@ def iter_antichains(n: int, max_n: int = 5) -> Iterator[tuple[int, ...]]:
     """Every antichain of subsets of {1..n} (as mask tuples), empty one included.
 
     The count is Dedekind-sized, hence the cap; raise it explicitly for n = 6
-    if you can afford the wait.
+    if you can afford the wait.  A negative cap is a ValueError.
     """
+    if max_n < 0:
+        raise ValueError(f"need max_n >= 0, got {max_n}")
     if n > max_n:
         raise EnumerationBudgetExceeded(
             f"antichain families for n = {n} exceed the cap {max_n}"

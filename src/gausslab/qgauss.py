@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 from . import injectlab
-from .errors import NegativeExponent, SlotOverflow
+from .errors import SlotOverflow
 from .polycore import (
     IntPoly,
     darga,
@@ -138,25 +138,8 @@ def level_counts(
 # -- multiplicity vectors and term assembly -------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
-    """(d_1, ..., d_b) with sum of i * d_i equal to b."""
-
-    d: tuple[int, ...]
-    b: int
-
-    def __post_init__(self) -> None:
-        if len(self.d) != self.b:
-            raise ValueError(f"expected {self.b} entries, got {len(self.d)}")
-        if any(x < 0 for x in self.d):
-            raise ValueError(f"negative multiplicity in {self.d}")
-        total = sum((i + 1) * x for i, x in enumerate(self.d))
-        if total != self.b:
-            raise ValueError(f"weighted sum {total} != {self.b} for {self.d}")
-
-
-def koh_multiplicity_vectors(b: int) -> tuple[MultiplicityVector, ...]:
-    """All solutions of sum i*d_i = b; one per integer partition of b."""
+def koh_multiplicity_vectors(b: int) -> tuple[tuple[int, ...], ...]:
+    """All (d_1, ..., d_b) with sum i*d_i = b, sorted; one per integer partition of b."""
     if b < 0:
         raise ValueError("need b >= 0")
     out: list[tuple[int, ...]] = []
@@ -172,7 +155,7 @@ def koh_multiplicity_vectors(b: int) -> tuple[MultiplicityVector, ...]:
             acc.pop()
 
     rec(b, b, [])
-    return tuple(MultiplicityVector(d, b) for d in sorted(out))
+    return tuple(sorted(out))
 
 
 # (a, b, i, tail) -> a_i, the width of factor i, where tail is
@@ -207,18 +190,22 @@ def calibrated_argument(a: int, b: int, i: int, tail: int) -> int:
 KOH_RULES = {"stated": stated_argument, "calibrated": calibrated_argument}
 
 
-def koh_exponent(dv: MultiplicityVector) -> int:
-    """b * (sum d_i) - b - sum_{i<j} (j - i) d_i d_j; the monomial prefactor power.
+def koh_exponent(d: tuple[int, ...]) -> int:
+    """b * (sum d_i) - b - sum_{i<j} (j - i) d_i d_j, with b = len(d); the
+    monomial prefactor power.
 
-    The cross sum is one pass: with S and T the running sums of d_i and
-    i d_i over i < j, the pairs ending at j add d_j (j S - T).
+    It equals 2 * sum_{k<m} min(l_k, l_m) over the pairs of parts of the
+    partition l of b with d_i parts equal to i, a sum of positive terms, so it
+    is never negative.  The cross sum is one pass: with S and T the running
+    sums of d_i and i d_i over i < j, the pairs ending at j add d_j (j S - T).
     """
+    b = len(d)
     cross = s = t = 0
-    for j, d_j in enumerate(dv.d):
+    for j, d_j in enumerate(d):
         cross += d_j * (j * s - t)
         s += d_j
         t += j * d_j
-    return dv.b * s - dv.b - cross
+    return b * s - b - cross
 
 
 @dataclass(frozen=True)
@@ -266,12 +253,8 @@ def koh_terms(a: int, b: int, argument: ArgumentFormula = calibrated_argument) -
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
     terms = []
-    for dv in koh_multiplicity_vectors(b):
-        exponent = koh_exponent(dv)
-        if exponent < 0:
-            raise NegativeExponent(
-                f"exponent {exponent} for multiplicities {dv.d} in box ({a},{b})"
-            )
+    for d in koh_multiplicity_vectors(b):
+        exponent = koh_exponent(d)
         pairs = []
         negatives = []
         # tail(i) = sum_{j<i} 2 (i - j) d_{b-j} = 2 (i S - T), with S and T the
@@ -279,7 +262,7 @@ def koh_terms(a: int, b: int, argument: ArgumentFormula = calibrated_argument) -
         s = t = 0
         for i in range(b):
             a_i = argument(a, b, i, 2 * (i * s - t))
-            b_i = dv.d[b - 1 - i]
+            b_i = d[b - 1 - i]
             pairs.append((a_i, b_i))
             if b_i > 0 and a_i < 0:
                 negatives.append(i)
@@ -294,11 +277,11 @@ def koh_terms(a: int, b: int, argument: ArgumentFormula = calibrated_argument) -
             packed = 1
             for a_i, b_i in live:
                 packed *= _pascal_packed(a_i, b_i, nb)
-            coeffs = _unpack_checked(packed, nb, total, f"term {dv.d} of box ({a},{b})")
+            coeffs = _unpack_checked(packed, nb, total, f"term {d} of box ({a},{b})")
             poly = IntPoly([0] * exponent + coeffs)
         terms.append(
             KohTerm(
-                dv.d,
+                d,
                 exponent,
                 tuple(pairs),
                 poly,

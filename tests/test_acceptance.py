@@ -68,7 +68,7 @@ def test_criterion_04_inversion_generating_function():
 def test_criterion_05_sperner_exhaustive():
     def body():
         for n in range(1, 6):
-            assert criteria.sperner_holds(posetlab.max_antichain(n), n), n
+            assert criteria.sperner_holds(posetlab.max_antichain(n)), n
 
     _criterion(5, "Sperner bound exhaustive n <= 5", 60.0, body)
 

@@ -423,7 +423,7 @@ class TestSharedChecksCanFail:
             (["paths", "monotone", "6", "2"], lambda: criteria.monotone_injections_hold(6),
              _sources_miscounted),
             (["sperner", "4", "--exhaustive"],
-             lambda: criteria.sperner_holds(posetlab.max_antichain(4), 4), _one_maximum_too_many),
+             lambda: criteria.sperner_holds(posetlab.max_antichain(4)), _one_maximum_too_many),
         ],
     )
     def test_one_fault_fails_the_subcommand_and_the_range_check(
@@ -678,6 +678,7 @@ class TestExitTwo:
             ["gauss", "3", "3", "--method", "koh", "--budget", "-1"],
             ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "-1"],
             ["report", "--amax", "1", "--bmax", "1", "--budget", "-5"],
+            ["sperner", "3", "--exhaustive", "--max-exhaustive", "-1"],
         ],
     )
     def test_empty_or_meaningless_range(self, capsys, argv):
@@ -692,6 +693,7 @@ class TestExitTwo:
             ["gauss", "3", "3", "--method", "enum", "--budget", "0"],
             ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "0"],
             ["report", "--amax", "1", "--bmax", "1", "--budget", "0"],
+            ["sperner", "3", "--exhaustive", "--max-exhaustive", "0"],
         ],
     )
     def test_zero_budget_is_exceeded_by_every_box(self, capsys, argv):

@@ -9,6 +9,7 @@ from gausslab.injectlab import (
     ClaimVerdict,
     InjectionRule,
     RULE_BY_NUMBER,
+    _claimed_witnesses,
     apply_rule,
     audit,
     audit_all,
@@ -276,6 +277,25 @@ class TestClaims:
         for w in c.claimed_witnesses:
             assert sum(w) == c.claimed_level == 6
             BoxedPartition(w, (4, 4))  # must validate
+
+    @pytest.mark.parametrize("rule", list(InjectionRule))
+    def test_claimed_witnesses_are_what_check_claim_assumes(self, rule):
+        # check_claim does not re-check these: the witnesses sit on the
+        # claimed level and are distinct, only MaxWt's claim is a one-witness
+        # tie, a collision rule maps both witnesses, and ColumnFill claims 2b - 2.
+        for a in range(1, 9):
+            for b in range(1, 9):
+                k, witnesses, kind = _claimed_witnesses(rule, a, b)
+                if rule is InjectionRule.COLUMN_FILL:
+                    assert k == 2 * b - 2
+                assert (kind == "undefined") is (rule is InjectionRule.MAX_WT)
+                if witnesses is None or any(w is None for w in witnesses):
+                    continue
+                assert all(w.weight == k for w in witnesses), (a, b)
+                assert len({w.parts for w in witnesses}) == len(witnesses), (a, b)
+                assert len(witnesses) == (1 if kind == "undefined" else 2)
+                if kind == "collision":
+                    assert all(apply_rule(rule, w) is not None for w in witnesses), (a, b)
 
     def test_small_boxes_not_applicable(self):
         c = check_claim(audit(InjectionRule.COLUMN_FILL, 2, 2))

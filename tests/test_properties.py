@@ -1,18 +1,20 @@
 """Property tests for the invariants behind the shape-test machinery."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab.errors import NonExactDivision
+from gausslab.errors import NonExactDivision, PreconditionViolated
 from gausslab.polycore import (
     GammaVector,
     IntPoly,
     binomial_power,
     boros_moll_P,
     darga,
+    decompose_shift,
     div_exact,
     div_exact_xm_minus_one,
     gamma_decompose,
@@ -358,6 +360,23 @@ def test_shift_decomposition_identity_random():
         for k, w in enumerate(weights):
             rhs = rhs + boros_moll_P(n, k) * w
         assert shift_by_one(f).shift(1) == rhs
+
+
+nondecreasing_lists = st.lists(st.integers(0, 20), max_size=8).map(lambda s: list(accumulate(s)))
+
+
+@given(st.one_of(coeff_lists, nondecreasing_lists))
+def test_decompose_shift_weights_are_nonnegative(coeffs):
+    # criteria.shift_identity_holds does not re-check the weights: whenever
+    # decompose_shift returns, they are nonnegative, and it returns on every
+    # nonnegative nondecreasing input.
+    nondecreasing = all(0 <= x <= y for x, y in zip([0] + coeffs, coeffs))
+    try:
+        weights = decompose_shift(IntPoly(coeffs))
+    except PreconditionViolated:
+        assert not nondecreasing
+        return
+    assert all(w >= 0 for w in weights)
 
 
 # -- darga arithmetic ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,6 @@ from gausslab.errors import EnumerationBudgetExceeded, SlotOverflow
 from gausslab.polycore import IntPoly, darga, is_darga_palindromic, is_log_concave
 from gausslab.qgauss import (
     KOH_RULES,
-    MultiplicityVector,
     calibrated_argument,
     gaussian_pascal,
     gaussian_quotient,
@@ -185,9 +185,9 @@ def _recursive_level_counts(a, b):
 
 class TestMultiplicityVectors:
     def test_examples(self):
-        vecs = {v.d for v in koh_multiplicity_vectors(3)}
+        vecs = set(koh_multiplicity_vectors(3))
         assert vecs == {(3, 0, 0), (1, 1, 0), (0, 0, 1)}
-        assert [v.d for v in koh_multiplicity_vectors(1)] == [(1,)]
+        assert koh_multiplicity_vectors(1) == ((1,),)
         assert len(koh_multiplicity_vectors(5)) == 7  # p(5)
 
     def test_partition_counts(self):
@@ -195,11 +195,23 @@ class TestMultiplicityVectors:
         for b, p in zip(range(1, 9), partitions):
             assert len(koh_multiplicity_vectors(b)) == p
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiplicityVector((1, 1), 2)  # weighted sum 3 != 2
-        with pytest.raises(ValueError):
-            MultiplicityVector((2,), 2)
+    def test_each_vector_solves_the_weighted_sum(self):
+        for b in range(13):
+            vecs = koh_multiplicity_vectors(b)
+            assert list(vecs) == sorted(set(vecs)), b
+            for d in vecs:
+                assert len(d) == b and min(d, default=0) >= 0, d
+                assert sum((i + 1) * x for i, x in enumerate(d)) == b, d
+
+    def test_exponent_is_twice_the_pairwise_min_sum(self):
+        # koh_terms assembles X^exponent with no sign check: the exponent is
+        # 2 * sum_{k<m} min(l_k, l_m) over the parts of the partition l with
+        # d_i parts equal to i, so it is never negative.
+        for b in range(31):
+            for d in koh_multiplicity_vectors(b):
+                parts = [i + 1 for i, x in enumerate(d) for _ in range(x)]
+                pairs = itertools.combinations(parts, 2)
+                assert koh_exponent(d) == 2 * sum(min(p) for p in pairs) >= 0, d
 
 
 class TestKoh:
@@ -207,7 +219,7 @@ class TestKoh:
         # d = (b, 0, ..., 0) contributes the prefactor X^(b(b-1)).
         for b in range(1, 7):
             d = (b,) + (0,) * (b - 1)
-            assert koh_exponent(MultiplicityVector(d, b)) == b * (b - 1)
+            assert koh_exponent(d) == b * (b - 1)
 
     def test_width_one_box(self):
         for a in range(1, 7):
@@ -351,11 +363,9 @@ def _schoolbook_terms(a, b, rule):
     multiplied one by one with IntPoly's schoolbook product."""
     arg = KOH_RULES[rule]
     out = []
-    for dv in koh_multiplicity_vectors(b):
-        exponent = _quadratic_exponent(dv.d, b)
-        pairs = tuple(
-            (arg(a, b, i, _quadratic_tail(dv.d, b, i)), dv.d[b - 1 - i]) for i in range(b)
-        )
+    for d in koh_multiplicity_vectors(b):
+        exponent = _quadratic_exponent(d, b)
+        pairs = tuple((arg(a, b, i, _quadratic_tail(d, b, i)), d[b - 1 - i]) for i in range(b))
         negatives = tuple(i for i, (a_i, b_i) in enumerate(pairs) if b_i > 0 and a_i < 0)
         poly = IntPoly.zero()
         if not negatives:
@@ -364,7 +374,7 @@ def _schoolbook_terms(a, b, rule):
                 if b_i > 0:
                     poly = poly * _dict_pascal(a_i, b_i)
             poly = poly.shift(exponent)
-        out.append((dv.d, exponent, pairs, poly, None if poly.is_zero else darga(poly), negatives))
+        out.append((d, exponent, pairs, poly, None if poly.is_zero else darga(poly), negatives))
     return out
 
 
@@ -374,8 +384,8 @@ class TestRunningSums:
 
     def test_exponent(self):
         for b in range(17):
-            for dv in koh_multiplicity_vectors(b):
-                assert koh_exponent(dv) == _quadratic_exponent(dv.d, b), dv.d
+            for d in koh_multiplicity_vectors(b):
+                assert koh_exponent(d) == _quadratic_exponent(d, b), d
 
     def test_tails(self):
         for b in range(17):
@@ -387,7 +397,7 @@ class TestRunningSums:
 
             koh_terms(0, b, record)
             expected = [
-                _quadratic_tail(dv.d, b, i) for dv in koh_multiplicity_vectors(b) for i in range(b)
+                _quadratic_tail(d, b, i) for d in koh_multiplicity_vectors(b) for i in range(b)
             ]
             assert tails == expected, b
 

@@ -9,7 +9,8 @@ Annotations are not uses.  A reached class brings its bases, decorators and
 class-level statements, but not its methods: a method is reached only when
 reached code loads its name as an attribute (``x.name`` on any object), and
 dunder methods count as reached with their class.  Top-level assignments are
-followed when something reaches them but are not themselves reported.
+followed when something reaches them, and one that nothing reached reads is
+reported too, unless it is a dunder or a type alias that annotations use.
 """
 
 import ast
@@ -70,7 +71,8 @@ class _Module:
         self.name = name
         self.tree = ast.parse((SRC / f"{name}.py").read_text())
         self.defs = {}  # top-level name -> defining node
-        self.reported = set()  # the top-level functions and classes, and "Class.method"
+        self.reported = set()  # every top-level definition but dunders, and "Class.method"
+        self.assigned = set()  # the reported names that a top-level assignment binds
         self.methods = {}  # class name -> {method name: node}
         self.imports = {}  # local name -> (module, name), name None for a module
         for stmt in self.tree.body:
@@ -86,6 +88,9 @@ class _Module:
                 for target in targets:
                     if isinstance(target, ast.Name):
                         self.defs[target.id] = stmt
+                        if not _is_dunder(target.id):
+                            self.reported.add(target.id)
+                            self.assigned.add(target.id)
             elif isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
                 for alias in stmt.names:
                     local = alias.asname or alias.name
@@ -93,6 +98,21 @@ class _Module:
                         self.imports[local] = (alias.name, None)
                     else:
                         self.imports[local] = (stmt.module, alias.name)
+
+    def annotated(self):
+        """The (module, name) of each definition that an annotation here names."""
+        annotations = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, (ast.arg, ast.AnnAssign)):
+                annotations.append(node.annotation)
+            elif isinstance(node, FUNCTIONS):
+                annotations.append(node.returns)
+        return {
+            self.resolve(name, attr)
+            for annotation in annotations
+            if annotation is not None
+            for name, attr in _uses(annotation)
+        }
 
     def resolve(self, name, attr):
         if name is None:
@@ -140,11 +160,14 @@ def unreached_definitions():
                 for method, node in owner.methods[target[1]].items():
                     if _is_dunder(method) or method in attributes:
                         reach(owner, f"{target[1]}.{method}", node)
+    annotated = set().union(*(module.annotated() for module in modules.values()))
     return sorted(
         (module.name, name)
         for module in modules.values()
         for name in module.reported
-        if (module.name, name) not in seen and module.name not in ROOTS
+        if (module.name, name) not in seen
+        and not (name in module.assigned and (module.name, name) in annotated)
+        and module.name not in ROOTS
     )
 
 
