@@ -9,8 +9,8 @@ Each handler returns its JSON fields and whether its checked property holds.
 stdout or ``--out``, and picks the exit code: 0 the property holds, 1 it is
 false, 2 a usage, domain or output error, 3 enumeration budget exceeded.
 Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1), a
-``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, and an
-``--out`` file that cannot be written.
+``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, ``check``
+of the zero polynomial, and an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 import tempfile
 
 from . import criteria, injectlab, pathlab, polycore, posetlab, qgauss
-from .errors import EnumerationBudgetExceeded, GausslabError
+from .errors import EnumerationBudgetExceeded, GausslabError, ZeroPolynomial
 from .polycore import IntPoly
 
 SCHEMA_VERSION = 1
@@ -108,6 +108,10 @@ def _cmd_gauss(args) -> Result:
 
 def _cmd_check(args) -> Result:
     poly = _parse_coeffs(args.coeffs)
+    if poly.is_zero:
+        # Refused whatever the flags: zero is palindromic about every center,
+        # so --gamma would build a gamma vector of length --center / 2.
+        raise ZeroPolynomial("check needs a nonzero polynomial")
     center = args.center if args.center is not None else max(poly.degree, 0)
     requested = {
         "unimodal": args.unimodal,

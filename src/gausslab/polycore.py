@@ -1,9 +1,12 @@
 """Exact integer-coefficient polynomials and shape tests for coefficient sequences.
 
 Everything here is pure and exact: coefficients are Python ints, and
-rationals appear only inside the gcd of the square-free reduction.  The Sturm
-chain is built from integer pseudo-remainders.  Values are immutable after
-construction, so they are safe to share across threads.
+rationals appear only inside the gcd of the square-free reduction.
+Real-rootedness is decided in two stages: Newton's inequalities refute it
+from the coefficients alone in linear time, and whatever passes them goes on
+to the square-free reduction and a Sturm count, whose chain is built from
+integer pseudo-remainders.  Values are immutable after construction, so they
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -351,15 +354,20 @@ def is_palindromic(f: PolyLike, n: int) -> bool:
     """True iff a_k = a_{n-k} for 0 <= k <= n (center n/2).
 
     The center is an explicit parameter because symmetric polynomials whose
-    support starts above 0 (e.g. X^2 + X^3) have centers beyond deg/2.
+    support starts above 0 (e.g. X^2 + X^3) have centers beyond deg/2.  A
+    nonzero f can only be palindromic about darga(f)/2, since a_low and
+    a_deg must pair with nonzero coefficients, so the test reads the
+    support alone and costs O(deg f) whatever n is.  The zero polynomial is
+    palindromic about every center.
     """
     if n < 0:
         raise ValueError("center parameter must be nonnegative")
     p = as_poly(f)
-    if p.degree > n:
-        return False
-    a = list(p.coeffs) + [0] * (n + 1 - len(p.coeffs))
-    return a == a[::-1]
+    if p.is_zero:
+        return True
+    low = p.low_degree
+    support = p.coeffs[low:]
+    return n == low + p.degree and support == support[::-1]
 
 
 def darga(f: PolyLike) -> int:
@@ -555,18 +563,43 @@ def _count_real_roots_square_free(g: IntPoly) -> int:
     return at_minus_inf - at_plus_inf
 
 
-def is_real_rooted(f: PolyLike) -> bool:
-    """True iff every complex root is real; decided exactly.
+def _newton_violation(coeffs: Sequence[int]) -> int | None:
+    """First k in 1..n-1 where Newton's inequality fails, else None.
 
-    Repeated roots are handled by reducing to the square-free part first:
-    f is real-rooted iff its square-free part has as many distinct real
-    roots as its degree.
+    With n = len(coeffs) - 1 and a_n nonzero, the inequality at k reads
+    a_k^2 k (n-k) >= a_{k-1} a_{k+1} (k+1) (n-k+1), i.e. a_k / C(n, k) is
+    log-concave.  Every real polynomial of degree n with only real roots
+    satisfies it at every k, for coefficients of any sign (Hardy,
+    Littlewood & Polya, Inequalities, 2.22); (1+X)^n meets it with
+    equality.  So a violation certifies a nonreal root in O(n) exact
+    integer products.
+
+    >>> _newton_violation([1, 0, 1]), _newton_violation([1, 3, 3, 1])
+    (1, None)
+    """
+    n = len(coeffs) - 1
+    for k in range(1, n):
+        if coeffs[k] * coeffs[k] * k * (n - k) < coeffs[k - 1] * coeffs[k + 1] * (k + 1) * (n - k + 1):
+            return k
+    return None
+
+
+def is_real_rooted(f: PolyLike) -> bool:
+    """True iff every complex root is real; decided exactly, in two stages.
+
+    First Newton's inequalities (:func:`_newton_violation`): a violation
+    proves a nonreal root, and the answer is False at once.  Passing them
+    proves nothing, so every other input is reduced to its square-free part
+    and counted by Sturm: f is real-rooted iff its square-free part has as
+    many distinct real roots as its degree.
     """
     p = as_poly(f)
     if p.is_zero:
         raise ZeroPolynomial("real-rootedness of zero is undefined")
     if p.degree <= 1:
         return True
+    if _newton_violation(p.coeffs) is not None:
+        return False
     g = square_free_part(p)
     return _count_real_roots_square_free(g) == g.degree
 

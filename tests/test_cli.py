@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,33 @@ class TestCheck:
         code = main(["check", "not-json", "--unimodal"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "[1,2,1]", "--center", str(10**7)], 1),
+        (["check", "[1,2,1]", "--center", str(10**7), "--gamma"], 1),
+        (["check", "[0,0,1]", "--center", str(10**7), "--palindromic"], 1),
+        (["check", "[]", "--center", str(10**7), "--gamma"], 2),
+    ])
+    def test_a_large_center_costs_no_memory(self, capsys, argv, code):
+        main(["check", "[1]"])  # builds the parser outside the measurement
+        tracemalloc.start()
+        try:
+            assert main(argv) == code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--unimodal"], ["--log-concave"], ["--palindromic"], ["--gamma", "--center", "6"],
+    ])
+    @pytest.mark.parametrize("coeffs", ["[]", '["0", 0]'])
+    def test_zero_polynomial_is_refused(self, capsys, coeffs, flags):
+        assert main(["check", coeffs, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: check needs a nonzero polynomial\n"
 
 
 class TestInjectionAudit:

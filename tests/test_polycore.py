@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab import criteria, polycore
+from gausslab import criteria, polycore, qgauss
 from gausslab.errors import (
     NonExactDivision,
     NotPalindromic,
@@ -192,6 +192,19 @@ class TestGamma:
         assert back == gv
 
 
+@pytest.fixture
+def square_free_calls(monkeypatch):
+    """The arguments of every square-free reduction made during the test."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return square_free_part(f)
+
+    monkeypatch.setattr(polycore, "square_free_part", counted)
+    return calls
+
+
 class TestRealRooted:
     def test_examples(self):
         assert is_real_rooted([1, 2, 1])
@@ -226,17 +239,23 @@ class TestRealRooted:
         sf = square_free_part(p)
         assert sf == IntPoly([1, 1]) * IntPoly([-1, 1])
 
-    def test_square_free_reduction_runs_once(self, monkeypatch):
-        calls = []
-
-        def counted(f):
-            calls.append(f)
-            return square_free_part(f)
-
-        monkeypatch.setattr(polycore, "square_free_part", counted)
+    def test_square_free_reduction_runs_once(self, square_free_calls):
         p = IntPoly([1, 1]) ** 3 * IntPoly([-1, 1])
         assert is_real_rooted(p)
-        assert len(calls) == 1
+        assert len(square_free_calls) == 1
+
+    def test_sturm_path_still_refutes(self, square_free_calls):
+        # (X+1)(X^2+5X+7) has a complex pair yet meets Newton's inequalities,
+        # with equality at k = 2, so only the Sturm count can say False.
+        p = IntPoly([7, 12, 6, 1])
+        assert p == IntPoly([1, 1]) * IntPoly([7, 5, 1])
+        assert polycore._newton_violation(p.coeffs) is None
+        assert not is_real_rooted(p)
+        assert square_free_calls == [p]
+
+    def test_newton_refutes_before_the_reduction(self, square_free_calls):
+        assert not is_real_rooted([1, 0, 1])
+        assert square_free_calls == []
 
     def test_sturm_chain_shape(self):
         chain = sturm_chain([1, 11, 11, 1])
@@ -288,12 +307,74 @@ class TestSturmAtInfinity:
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        for p in _random_products(11, 120):
+        refuted_by = {"newton": 0, "sturm": 0}
+        for p in _random_products(11, 120) + [IntPoly([7, 12, 6, 1])]:
             poly = sympy.Poly(list(reversed(p.coeffs)), x)
             roots = poly.real_roots()
             g = square_free_part(p)
             assert polycore._count_real_roots_square_free(g) == len(set(roots)), p
             assert is_real_rooted(p) == (len(roots) == p.degree), p
+            if len(roots) < p.degree:
+                newton = polycore._newton_violation(p.coeffs) is not None
+                refuted_by["newton" if newton else "sturm"] += 1
+        # Inputs that are not real-rooted on both sides of Newton's test.
+        assert min(refuted_by.values()) >= 10, refuted_by
+
+
+def _old_path_real_rooted(p):
+    """The square-free reduction and Sturm count alone, without Newton."""
+    g = square_free_part(p)
+    return polycore._count_real_roots_square_free(g) == g.degree
+
+
+class TestNewton:
+    """Newton's inequalities as a refutation of real-rootedness."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.sampled_from(_random_products(29, 300)),
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=3, max_size=13).map(IntPoly),
+    ))
+    def test_a_violation_means_not_real_rooted(self, p):
+        if p.degree >= 2 and polycore._newton_violation(p.coeffs) is not None:
+            assert not _old_path_real_rooted(p), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=-5, max_value=5).filter(bool),
+        st.lists(
+            st.tuples(st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=-4, max_value=4).filter(bool)),
+            min_size=1, max_size=10,
+        ),
+    )
+    def test_products_of_linear_factors_never_violate(self, scale, factors):
+        p = IntPoly([scale])
+        for root_term, lead in factors:
+            p = p * IntPoly([root_term, lead])
+        assert polycore._newton_violation(p.coeffs) is None, p
+
+    def test_binomial_rows_sit_on_the_boundary(self):
+        # (1+X)^n meets every inequality with equality, so lowering any inner
+        # coefficient by one breaks the inequality there and nowhere before.
+        for n in range(2, 30):
+            a = binomial_power(n).coeffs
+            assert polycore._newton_violation(a) is None
+            for k in range(1, n):
+                lowered = a[:k] + (a[k] - 1,) + a[k + 1:]
+                assert polycore._newton_violation(lowered) == k, (n, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30).filter(bool))
+    def test_degree_two_violates_iff_the_discriminant_is_negative(self, c, b, a):
+        violation = polycore._newton_violation([c, b, a])
+        assert violation == (1 if b * b - 4 * a * c < 0 else None)
+
+    def test_every_gaussian_is_refuted_at_k1(self):
+        # a_0 = a_1 = 1 and a_2 = 2 for a, b >= 2, and n - 1 < 4n with n = ab.
+        for a in range(2, 21):
+            for b in range(2, 21):
+                assert polycore._newton_violation(qgauss.gaussian_pascal(a, b).coeffs) == 1, (a, b)
 
 
 def _fraction_chain(f):
