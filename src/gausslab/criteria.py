@@ -136,13 +136,15 @@ def calibration_holds(counts: Mapping[tuple[int, int], list[int]]) -> bool:
     return not matches(qgauss.minimal_edit_argument) and matches(qgauss.KOH_RULES["calibrated"])
 
 
-def _allowed_verdicts(rule: InjectionRule, a: int, b: int) -> set[ClaimVerdict]:
+def _expected_verdict(rule: InjectionRule, a: int, b: int) -> ClaimVerdict:
     both_sides_two = a >= 2 and b >= 2
+    middle = (a * b) // 2
     if rule is InjectionRule.MAX_WT:
         if both_sides_two:
-            return {ClaimVerdict.CONFIRMED}
-        return {ClaimVerdict.NOT_A_FAILURE, ClaimVerdict.NOT_APPLICABLE}
-    middle = (a * b) // 2
+            return ClaimVerdict.CONFIRMED
+        # With a side of 1 the claimed input has one candidate, so the rule is
+        # defined there; the claim at k = 1 applies only below the middle.
+        return ClaimVerdict.NOT_A_FAILURE if 1 < middle else ClaimVerdict.NOT_APPLICABLE
     if rule is InjectionRule.MIN_BASE_VALUE:
         # The documented pair maps to distinct images: not a failure.
         applicable, verdict = a >= 3 and b >= 2 and b < middle, ClaimVerdict.NOT_A_FAILURE
@@ -150,7 +152,7 @@ def _allowed_verdicts(rule: InjectionRule, a: int, b: int) -> set[ClaimVerdict]:
         # The fill rules' pair collides at 2b-2 (2a-2 for the transpose).
         side = b if rule is InjectionRule.COLUMN_FILL else a
         applicable, verdict = both_sides_two and 2 * side - 2 < middle, ClaimVerdict.CONFIRMED
-    return {verdict if applicable else ClaimVerdict.NOT_APPLICABLE}
+    return verdict if applicable else ClaimVerdict.NOT_APPLICABLE
 
 
 def injections_hold(audits: list[AuditReport], claims: list[WitnessCheck]) -> bool:
@@ -162,7 +164,7 @@ def injections_hold(audits: list[AuditReport], claims: list[WitnessCheck]) -> bo
         for r in audits
         if r.rule is InjectionRule.MAX_WT and min(r.box) >= 2
     )
-    return ties and all(c.verdict in _allowed_verdicts(c.rule, *c.box) for c in claims)
+    return ties and all(c.verdict is _expected_verdict(c.rule, *c.box) for c in claims)
 
 
 def sperner_holds(search: posetlab.SpernerSearch) -> bool:

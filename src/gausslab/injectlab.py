@@ -191,9 +191,7 @@ def apply_rule(rule: InjectionRule, p: BoxedPartition) -> Optional[BoxedPartitio
         return conjugate(_column_fill(conjugate(p)))
     candidates = increment_candidates(p)
     if rule is InjectionRule.MIN_BASE_VALUE:
-        values = [base_value(c) for c in candidates]
-        assert len(set(values)) == len(values), "base values are injective"
-        return candidates[values.index(min(values))]
+        return min(candidates, key=base_value)
     if rule is InjectionRule.MAX_WT:
         weights = [wt(c) for c in candidates]
         top = max(weights)

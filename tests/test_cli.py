@@ -1,6 +1,9 @@
+import ast
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -277,10 +280,18 @@ class TestReport:
             "20036cfdbaf9d6e5f7814d6021f095cb4782a1158bde6826f7fbefcc4dd7862a"
         )
 
-    @pytest.mark.parametrize("side, boxes", [(8, 64), (3, 36)])
-    def test_each_box_is_enumerated_once(self, capsys, monkeypatch, side, boxes):
+    @pytest.mark.parametrize(
+        "side, boxes, digest",
+        [
+            (8, 64, "d2190ec6ea919bcfbd13938f5cd05b18118028b685b5a2d47c7f55e736667ab6"),
+            (3, 36, "1caa2c60200f3c1d601bade1fc8068b3719b69abc35897efcfb48135196c45ad"),
+        ],
+        ids=["8-64", "3-36"],
+    )
+    def test_each_box_is_enumerated_once(self, capsys, monkeypatch, side, boxes, digest):
         # The grid's boxes and the 36 calibration boxes up to 6x6 share one
         # enumeration each: 64 at 8x8 (the grid covers all 36), 9 + 27 at 3x3.
+        # The 8x8 report is the benchmark's workload, so its bytes are pinned too.
         calls = []
         enumerate_counts = qgauss.level_counts
 
@@ -289,9 +300,10 @@ class TestReport:
             return enumerate_counts(a, b, *rest)
 
         monkeypatch.setattr(qgauss, "level_counts", counted)
-        code, _ = run(capsys, "report", "--amax", str(side), "--bmax", str(side))
+        code, out = run(capsys, "report", "--amax", str(side), "--bmax", str(side))
         assert code == 0
         assert len(calls) == len(set(calls)) == boxes
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_report_deterministic(self, capsys):
         code1, out1 = run(capsys, "report", "--amax", "2", "--bmax", "2")
@@ -312,6 +324,24 @@ def _max_wt_claim_one_level_up(monkeypatch):
         return (k + 1 if rule is injectlab.InjectionRule.MAX_WT else k), witnesses, kind
 
     monkeypatch.setattr(injectlab, "_claimed_witnesses", shifted)
+
+
+def _max_wt_side_one_verdicts_swapped(monkeypatch):
+    # With a side of 1 the MaxWt claim is either not applicable (below 4x1 and
+    # 1x4, the middle is at most 1) or not a failure; swap the two.
+    judged = injectlab.check_claim
+    swap = {
+        injectlab.ClaimVerdict.NOT_A_FAILURE: injectlab.ClaimVerdict.NOT_APPLICABLE,
+        injectlab.ClaimVerdict.NOT_APPLICABLE: injectlab.ClaimVerdict.NOT_A_FAILURE,
+    }
+
+    def swapped(first):
+        c = judged(first)
+        if c.rule is injectlab.InjectionRule.MAX_WT and min(c.box) == 1:
+            return dataclasses.replace(c, verdict=swap[c.verdict])
+        return c
+
+    monkeypatch.setattr(injectlab, "check_claim", swapped)
 
 
 def _stirling_row_with_a_dip(monkeypatch):
@@ -371,6 +401,7 @@ class TestReportCanFail:
             ("gaussian", _one_box_not_palindromic),
             ("gaussian", _minimal_edit_reproduces_enumeration),
             ("injections", _max_wt_claim_one_level_up),
+            ("injections", _max_wt_side_one_verdicts_swapped),
             ("posets", _stirling_row_with_a_dip),
             ("paths", _closed_form_off_by_one),
             ("shapes", _boros_moll_P_one_index_low),
@@ -647,6 +678,51 @@ class TestGoldenOutput:
         assert capsys.readouterr() == ("", "")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
             "20036cfdbaf9d6e5f7814d6021f095cb4782a1158bde6826f7fbefcc4dd7862a"
+        )
+
+
+# IntPoly methods that no command line calls, each kept for the reason given.
+INTPOLY_UNCALLED = {
+    "__repr__": "for people and doctests",
+    "__bool__": "without it the zero polynomial would be truthy",
+}
+
+
+def _counting(fn, name, called):
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+class TestIntPolyMethodsAreCalled:
+    def test_every_method_is_called_by_a_command_line(self, capsys, monkeypatch):
+        # The reachability walk counts a reached class's dunders as reached,
+        # so an operator that only tests use passes it; running every GOLDEN
+        # command line with each method of IntPoly's class body counted does
+        # not.  An alias such as ``__rmul__ = __mul__`` counts on its own.
+        cls = ast.parse(inspect.getsource(IntPoly)).body[0]
+        names = [m.name for m in cls.body if isinstance(m, ast.FunctionDef)] + [
+            t.id for m in cls.body if isinstance(m, ast.Assign) for t in m.targets
+        ]
+        called = set()
+        for name in names:
+            raw = vars(IntPoly)[name]
+            if isinstance(raw, property):
+                wrapped = property(_counting(raw.fget, name, called))
+            elif isinstance(raw, classmethod):
+                wrapped = classmethod(_counting(raw.__func__, name, called))
+            else:
+                wrapped = _counting(raw, name, called)
+            monkeypatch.setattr(IntPoly, name, wrapped)
+        for argv, code, _ in GOLDEN:
+            assert main(list(argv)) == code, argv
+        capsys.readouterr()
+        uncalled = {name for name in names if name not in called}
+        assert uncalled == set(INTPOLY_UNCALLED), "called by no command line: " + ", ".join(
+            sorted(uncalled - set(INTPOLY_UNCALLED))
         )
 
 

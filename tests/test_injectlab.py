@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+from gausslab import criteria, injectlab
 from gausslab.errors import EnumerationBudgetExceeded, NoSuccessor
 from gausslab.injectlab import (
     AuditOutcome,
@@ -57,9 +59,35 @@ class TestEnumeration:
         assert [p.parts for p in levels(2, 2)[2]] == [(1, 1), (2, 0)]
         assert [p.parts for p in levels(3, 4)[0]] == [(0, 0, 0)]
 
+    def test_levels_match_a_brute_force_scan(self):
+        # Level k in ascending lexicographic order is the order the audits
+        # visit it in; a lazy level engine must keep it.
+        for a in range(1, 7):
+            for b in range(1, 7):
+                brute = [[] for _ in range(a * b + 1)]
+                for parts in sorted(itertools.product(range(b + 1), repeat=a)):
+                    if all(x >= y for x, y in zip(parts, parts[1:])):
+                        brute[sum(parts)].append(parts)
+                assert [[p.parts for p in lv] for lv in levels(a, b)] == brute, (a, b)
+
     def test_budget(self):
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_box(10, 10, budget=1000)
+
+    def test_audit_refuses_a_box_before_building_any_partition(self, monkeypatch):
+        built = []
+
+        class Spy(BoxedPartition):
+            def __post_init__(self):
+                built.append(self.parts)
+                super().__post_init__()
+
+        monkeypatch.setattr(injectlab, "BoxedPartition", Spy)
+        with pytest.raises(EnumerationBudgetExceeded):
+            audit(InjectionRule.MAX_WT, 10, 10, budget=1000)
+        assert built == []
+        audit(InjectionRule.MAX_WT, 2, 2, budget=6)
+        assert built
 
     def test_negative_budget_is_a_usage_error(self):
         with pytest.raises(ValueError, match="budget >= 0"):
@@ -108,8 +136,10 @@ class TestSelectionStatistics:
         assert base_value(BoxedPartition((2, 0), (2, 2))) == 6
 
     def test_base_value_injective(self):
-        for a in range(1, 5):
-            for b in range(1, 5):
+        # MinBaseValue takes min(candidates, key=base_value) unchecked: the
+        # candidates share a box, so their least base value is unique.
+        for a in range(1, 7):
+            for b in range(1, 7):
                 values = [base_value(p) for p in enumerate_box(a, b)]
                 assert len(set(values)) == len(values)
 
@@ -296,6 +326,24 @@ class TestClaims:
                 assert len(witnesses) == (1 if kind == "undefined" else 2)
                 if kind == "collision":
                     assert all(apply_rule(rule, w) is not None for w in witnesses), (a, b)
+
+    def test_max_wt_claim_with_a_side_of_one(self):
+        # The claimed input (1, 0, ..., 0) has one candidate, so the rule is
+        # defined on it; the claim at k = 1 is below the middle max(a, b) // 2
+        # only from 4x1 and 1x4 on.
+        audits = [
+            audit(InjectionRule.MAX_WT, a, b)
+            for a in range(1, 11)
+            for b in range(1, 11)
+            if min(a, b) == 1
+        ]
+        claims = [check_claim(r) for r in audits]
+        for c in claims:
+            expected = (
+                ClaimVerdict.NOT_A_FAILURE if max(c.box) >= 4 else ClaimVerdict.NOT_APPLICABLE
+            )
+            assert c.verdict is expected, c.box
+        assert criteria.injections_hold(audits, claims)
 
     def test_small_boxes_not_applicable(self):
         c = check_claim(audit(InjectionRule.COLUMN_FILL, 2, 2))

@@ -88,6 +88,14 @@ class TestSwapBisector:
         assert line.orientation is LineOrientation.DIAG_UP
         assert reflect_point(line, (2, 3)) == (3, 2)
 
+    def test_endpoints_swap(self):
+        # swap_bisector does not re-check this on each call.
+        for x in range(-6, 7):
+            for y in range(-6, 7):
+                for q in ((x + 1, y - 1), (x - 1, y + 1)):
+                    line = swap_bisector((x, y), q)
+                    assert reflect_point(line, (x, y)) == q and reflect_point(line, q) == (x, y)
+
     def test_rejects_other_differences(self):
         with pytest.raises(ValueError):
             swap_bisector((0, 0), (1, 1))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -52,11 +53,6 @@ class TestIntPoly:
         assert (IntPoly([1, 2]) + IntPoly([0, -2, 5])).coeffs == (1, 0, 5)
         assert (IntPoly([1, 2]) - IntPoly([1, 2])).is_zero
 
-    def test_pow(self):
-        assert IntPoly([1, 1]) ** 4 == binomial_power(4)
-        assert (IntPoly([0, 1]) ** 3).coeffs == (0, 0, 0, 1)
-        assert IntPoly([2, 1]) ** 0 == IntPoly.one()
-
     def test_evaluate(self):
         assert IntPoly([1, 1, 2, 1, 1]).evaluate(1) == 6
         assert IntPoly([1, 2, 3]).evaluate(10) == 321
@@ -101,9 +97,6 @@ class TestDivExact:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             div_exact([1, 1], [])
-
-    def test_floordiv_operator(self):
-        assert (IntPoly([-1, 0, 1]) // IntPoly([-1, 1])).coeffs == (1, 1)
 
 
 class TestUnimodalMode:
@@ -186,6 +179,15 @@ class TestGamma:
             gv = gamma_decompose(coeffs, n)
             assert gv.reconstruct() == IntPoly(coeffs)
 
+    def test_every_small_palindrome_is_exhausted(self):
+        # gamma_decompose peels only the low half and does not check that the
+        # residual vanished: every palindrome with entries in -2..2 and center
+        # n/2, n <= 7, must re-expand to itself.
+        for n in range(8):
+            for half in itertools.product(range(-2, 3), repeat=n // 2 + 1):
+                coeffs = list(half) + list(reversed(half[: (n + 1) // 2]))
+                assert gamma_decompose(coeffs, n).reconstruct() == IntPoly(coeffs), coeffs
+
     def test_manual_vector(self):
         gv = GammaVector((1, -1, 2), 4)
         back = gamma_decompose(gv.reconstruct(), 4)
@@ -222,7 +224,7 @@ class TestRealRooted:
 
     def test_repeated_roots(self):
         assert is_real_rooted([1, 3, 3, 1])  # (1+X)^3
-        assert is_real_rooted(list((IntPoly([1, 1]) ** 2 * IntPoly([-2, 1])).coeffs))
+        assert is_real_rooted(list((binomial_power(2) * IntPoly([-2, 1])).coeffs))
 
     def test_mixed_complex(self):
         # (X^2 + 1)(X + 1) has one real root out of three.
@@ -235,12 +237,12 @@ class TestRealRooted:
         assert polycore._count_real_roots_square_free(IntPoly([0, -1, 0, 1])) == 3
 
     def test_square_free_part(self):
-        p = IntPoly([1, 1]) ** 3 * IntPoly([-1, 1])
+        p = binomial_power(3) * IntPoly([-1, 1])
         sf = square_free_part(p)
         assert sf == IntPoly([1, 1]) * IntPoly([-1, 1])
 
     def test_square_free_reduction_runs_once(self, square_free_calls):
-        p = IntPoly([1, 1]) ** 3 * IntPoly([-1, 1])
+        p = binomial_power(3) * IntPoly([-1, 1])
         assert is_real_rooted(p)
         assert len(square_free_calls) == 1
 
@@ -290,7 +292,8 @@ def _random_products(seed, count):
                 factor = IntPoly([rng.randint(-5, 5), rng.choice([-2, -1, 1, 3])])
             else:
                 factor = IntPoly([rng.randint(-6, 6), rng.randint(-4, 4), rng.choice([-1, 1, 2])])
-            p = p * factor ** rng.randint(1, 3)
+            for _ in range(rng.randint(1, 3)):
+                p = p * factor
         polys.append(p)
     return polys
 
@@ -440,6 +443,64 @@ class TestIntegerChain:
                 checked += 1
                 assert _primitive(sturm_chain(p)[-1]) in (g, -g), p
         assert checked >= 100
+
+
+def _infinity_count(f):
+    """V(-inf) - V(+inf) over sturm_chain(f) itself, read from the leading
+    coefficients, with no square-free reduction first."""
+    chain = sturm_chain(f)
+
+    def variations(signs):
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    at_plus_inf = [q.coeffs[-1] > 0 for q in chain]
+    at_minus_inf = [s != (q.degree % 2 == 1) for s, q in zip(at_plus_inf, chain)]
+    return variations(at_minus_inf) - variations(at_plus_inf)
+
+
+def _repeated_root_products(seed, count):
+    """(product, kinds): products of X, linear factors and quadratics with a
+    complex pair, each taken 1 to 3 times; kinds names what the product has."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = IntPoly([rng.choice([-2, -1, 1, 3])])
+        kinds = set()
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["zero", "real", "complex"])
+            if kind == "zero":
+                factor = IntPoly([0, 1])
+            elif kind == "real":
+                factor = IntPoly([rng.randint(-4, 4), rng.choice([-2, -1, 1, 3])])
+            else:
+                b = rng.randint(-3, 3)
+                factor = IntPoly([rng.randint(b * b // 4 + 1, 6), b, 1])
+            times = rng.randint(1, 3)
+            for _ in range(times):
+                p = p * factor
+            kinds.add(kind if times == 1 else "repeated " + kind)
+        out.append((p, kinds))
+    return out
+
+
+class TestOneChainCountsDistinctRoots:
+    """The Sturm chain of any nonzero f, square-free or not, counts its distinct
+    real roots at the infinities, and its last member has degree deg gcd(f, f')."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        seen = {"zero": 0, "repeated real": 0, "repeated complex": 0, "real-rooted": 0}
+        for p, kinds in _repeated_root_products(41, 150):
+            distinct_real = len(set(sympy.Poly(list(reversed(p.coeffs)), x).real_roots()))
+            distinct_complex = p.degree - sturm_chain(p)[-1].degree
+            assert _infinity_count(p) == distinct_real, p
+            assert is_real_rooted(p) == (distinct_real == distinct_complex), p
+            seen["zero"] += any("zero" in k for k in kinds)
+            seen["repeated real"] += "repeated real" in kinds
+            seen["repeated complex"] += "repeated complex" in kinds
+            seen["real-rooted"] += is_real_rooted(p)
+        assert min(seen.values()) >= 20, seen
 
 
 class TestBorosMoll:

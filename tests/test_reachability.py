@@ -8,7 +8,8 @@ from sibling modules, and ``module.name`` attributes of imported modules.
 Annotations are not uses.  A reached class brings its bases, decorators and
 class-level statements, but not its methods: a method is reached only when
 reached code loads its name as an attribute (``x.name`` on any object), and
-dunder methods count as reached with their class.  Top-level assignments are
+dunder methods count as reached with their class (``test_cli`` runs the command
+lines to find ``IntPoly`` methods, dunders included, that none of them calls).  Top-level assignments are
 followed when something reaches them, and one that nothing reached reads is
 reported too, unless it is a dunder or a type alias that annotations use.
 """
