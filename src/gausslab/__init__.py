@@ -11,7 +11,7 @@ Submodules:
   exhaustive failure audits.
 - ``posetlab``: subset lattice with antichain search and exact LYM sums,
   weak order on permutations, set partitions, Eulerian polynomials.
-- ``pathlab``: lattice paths, grid-invariant reflection, path counts.
+- ``pathlab``: lattice paths, reflection across the line x - y = c, path counts.
 - ``criteria``: the acceptance checks shared by the test suite and ``report``.
 - ``cli``: the command-line surface.
 """
@@ -20,7 +20,6 @@ from .polycore import IntPoly, GammaVector
 from .qgauss import KOH_RULES
 from .injectlab import AuditReport, BoxedPartition, InjectionRule
 from .posetlab import RankedPoset
-from .pathlab import GridLine, LineOrientation
 
 __all__ = [
     "IntPoly",
@@ -30,8 +29,6 @@ __all__ = [
     "BoxedPartition",
     "InjectionRule",
     "RankedPoset",
-    "GridLine",
-    "LineOrientation",
 ]
 
 __version__ = "0.1.0"

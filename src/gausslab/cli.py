@@ -191,22 +191,26 @@ def _audit_row(r: injectlab.AuditReport) -> str:
 # -- poset commands ------------------------------------------------------------------
 
 
+def _antichain_summary(search: posetlab.SpernerSearch) -> dict:
+    return {
+        "max_size": str(search.max_size),
+        "num_maximum": str(search.num_maximum),
+        "total_antichains": str(search.total_antichains),
+    }
+
+
 def _cmd_sperner(args) -> Result:
     n = args.n
+    bound = posetlab.sperner_bound(n)
     body = {
         "n": n,
-        "bound": str(math.comb(n, (n + 1) // 2)),
-        "middle_layer_sizes": [str(math.comb(n, n // 2)), str(math.comb(n, (n + 1) // 2))],
+        "bound": str(bound),
+        "middle_layer_sizes": [str(math.comb(n, n // 2)), str(bound)],
     }
     if not args.exhaustive:
         return body, True
     search = posetlab.max_antichain(n, max_n=args.max_exhaustive)
-    body["exhaustive"] = {
-        "max_size": str(search.max_size),
-        "num_maximum": str(search.num_maximum),
-        "total_antichains": str(search.total_antichains),
-        "bound_holds": search.bound_holds,
-    }
+    body["exhaustive"] = {**_antichain_summary(search), "bound_holds": search.bound_holds}
     return body, criteria.sperner_holds(search)
 
 
@@ -280,7 +284,7 @@ def _cmd_paths_monotone(args) -> Result:
         "image_count": str(cert.image_count),
         "injective": cert.injective,
         "images_in_target": cert.images_in_target,
-        "line": {"orientation": cert.line.orientation.value, "offset": cert.line.offset},
+        "line": {"orientation": pathlab.LINE_ORIENTATION, "offset": cert.offset},
     }
     if args.show_map:
         body["map"] = [
@@ -307,11 +311,7 @@ def _cmd_report(args) -> Result:
     # before the audit objects are alive rather than on top of them.
     sperner = posetlab.max_antichain(4)
     posets = {
-        "sperner_n4": {
-            "max_size": str(sperner.max_size),
-            "num_maximum": str(sperner.num_maximum),
-            "total_antichains": str(sperner.total_antichains),
-        },
+        "sperner_n4": _antichain_summary(sperner),
         "lym_middle_layer_tight_n4": criteria.lym_holds(4),
         "inversion_polynomial_matches_q_factorial_n_le_5": criteria.inversions_hold(5),
         "stirling_rows_unimodal_n_le_8": criteria.stirling_rows_hold(8),
@@ -466,8 +466,14 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    # Big integers are read and written as exact decimal strings, so the
+    # interpreter's 4,300-digit conversion limit (3.10.7 on) is lifted while
+    # main runs and restored on return.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
     try:
+        args = _parser.parse_args(argv)
         body, holds = args.handler(args)
         if body is not None:
             command = f"paths {args.paths_command}" if args.command == "paths" else args.command
@@ -478,6 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     except (GausslabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_limit(limit)
     return 0 if holds else 1
 
 

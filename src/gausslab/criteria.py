@@ -170,9 +170,8 @@ def injections_hold(audits: list[AuditReport], claims: list[WitnessCheck]) -> bo
 def sperner_holds(search: posetlab.SpernerSearch) -> bool:
     """The largest antichain of subsets of {1..n} has C(n, ceil(n/2)) members and
     is unique for even n (the middle layer); odd n has two middle layers."""
-    n = search.n
-    middle_layers = 1 if n % 2 == 0 else 2
-    return search.max_size == math.comb(n, (n + 1) // 2) and search.num_maximum == middle_layers
+    middle_layers = 1 if search.n % 2 == 0 else 2
+    return search.max_size == search.bound and search.num_maximum == middle_layers
 
 
 def lym_holds(n: int) -> bool:

@@ -1,14 +1,14 @@
-"""Lattice paths with unit steps and exact reflection across grid-invariant lines.
+"""Lattice paths with unit steps and exact reflection across a diagonal line.
 
-The reflectable lines are the four orientations whose orthogonal reflection
-maps integer points to integer points: horizontal, vertical, and the two
-diagonal slopes.  Reflection of a path keeps the prefix through the last
-touch of the line and reflects the strict suffix.
+The level-raising injection on monotone paths reflects across one line,
+x - y = c, the perpendicular bisector of two points that differ by (1, -1).
+Its reflection (x, y) -> (y + c, x - c) maps integer points to integer points.
+Reflection of a path keeps the prefix through the last touch of the line and
+reflects the strict suffix.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from collections import defaultdict
@@ -19,72 +19,33 @@ from .errors import ParityViolation, PathMissesLine
 Point = tuple[int, int]
 LatticePath = tuple[Point, ...]
 
-
-class LineOrientation(enum.Enum):
-    HORIZONTAL = "horizontal"  # y = offset
-    VERTICAL = "vertical"  # x = offset
-    DIAG_UP = "diag-up"  # x - y = offset
-    DIAG_DOWN = "diag-down"  # x + y = offset
+# The name certificates give the line x - y = c that reflect_path reflects across.
+LINE_ORIENTATION = "diag-up"
 
 
-@dataclass(frozen=True)
-class GridLine:
-    """One of the four grid-invariant line orientations with an integer offset."""
+def reflect_path(c: int, path: LatticePath) -> LatticePath:
+    """Keep the prefix through the last vertex on x - y = c; send each later
+    (x, y) to (y + c, x - c), its mirror image across that line.
 
-    orientation: LineOrientation
-    offset: int
-
-    def contains(self, v: Point) -> bool:
-        x, y = v
-        return {
-            LineOrientation.HORIZONTAL: y == self.offset,
-            LineOrientation.VERTICAL: x == self.offset,
-            LineOrientation.DIAG_UP: x - y == self.offset,
-            LineOrientation.DIAG_DOWN: x + y == self.offset,
-        }[self.orientation]
-
-
-def reflect_point(line: GridLine, v: Point) -> Point:
-    """Orthogonal reflection; an involution fixing the line pointwise."""
-    x, y = v
-    c = line.offset
-    if line.orientation is LineOrientation.HORIZONTAL:
-        return (x, 2 * c - y)
-    if line.orientation is LineOrientation.VERTICAL:
-        return (2 * c - x, y)
-    if line.orientation is LineOrientation.DIAG_UP:
-        return (y + c, x - c)
-    return (c - y, c - x)
-
-
-def reflect_through_point(center: Point, v: Point) -> Point:
-    """Central (180-degree) reflection through a point: 2 * center - v.
-
-    This is a point symmetry, not a line reflection; it is exposed separately
-    so both transforms can be compared on the record.
+    >>> reflect_path(0, ((0, 0), (1, 0), (2, 0)))
+    ((0, 0), (0, 1), (0, 2))
     """
-    return (2 * center[0] - v[0], 2 * center[1] - v[1])
+    last = max((i for i, (x, y) in enumerate(path) if x - y == c), default=None)
+    if last is None:
+        raise PathMissesLine(f"path never touches the line x - y = {c}")
+    return path[: last + 1] + tuple((y + c, x - c) for x, y in path[last + 1 :])
 
 
-def reflect_path(line: GridLine, path: LatticePath) -> LatticePath:
-    """Keep the prefix through the last touch of the line; reflect the rest."""
-    touches = [k for k, v in enumerate(path) if line.contains(v)]
-    if not touches:
-        raise PathMissesLine(f"path never touches {line}")
-    k0 = touches[-1]
-    return path[: k0 + 1] + tuple(reflect_point(line, v) for v in path[k0 + 1 :])
+def swap_bisector(p: Point, q: Point) -> int:
+    """The c of the line x - y = c bisecting pq, for p and q differing by (1, -1) or (-1, 1).
 
-
-def swap_bisector(p: Point, q: Point) -> GridLine:
-    """Perpendicular bisector of pq for points differing by (1, -1) or (-1, 1).
-
-    The line x - y = c runs through the midpoint of pq, so c is the mean of
-    the endpoints' x - y; the two values differ by 2, so c is an integer.
+    The line runs through the midpoint of pq, so c is the mean of the
+    endpoints' x - y; the two values differ by 2, so c is an integer.
     """
     dx, dy = q[0] - p[0], q[1] - p[1]
     if (dx, dy) not in ((1, -1), (-1, 1)):
         raise ValueError(f"endpoints must differ by (1, -1) or (-1, 1), got {(dx, dy)}")
-    return GridLine(LineOrientation.DIAG_UP, (p[0] - p[1] + q[0] - q[1]) // 2)
+    return (p[0] - p[1] + q[0] - q[1]) // 2
 
 
 # -- monotone paths and the level-raising reflection ------------------------------
@@ -117,7 +78,7 @@ class MonotoneInjection:
 
     n: int
     k: int
-    line: GridLine
+    offset: int  # c of the reflection line x - y = c
     source_count: int
     image_count: int
     images_in_target: bool
@@ -140,15 +101,15 @@ def monotone_injection(n: int, k: int) -> MonotoneInjection:
     """
     if not 0 <= k <= (n - 1) // 2:
         raise ValueError("need 0 <= k <= (n-1)//2")
-    line = swap_bisector((k, n - k), (k + 1, n - k - 1))
+    c = swap_bisector((k, n - k), (k + 1, n - k - 1))
     sources = monotone_paths(n, k)
     target = set(monotone_paths(n, k + 1))
-    mapping = tuple((path, reflect_path(line, path)) for path in sources)
+    mapping = tuple((path, reflect_path(c, path)) for path in sources)
     images = {img for _, img in mapping}
     return MonotoneInjection(
         n,
         k,
-        line,
+        c,
         len(sources),
         len(images),
         all(img in target for img in images),

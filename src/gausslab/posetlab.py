@@ -98,6 +98,11 @@ class SpernerSearch:
         return self.max_size <= self.bound
 
 
+def sperner_bound(n: int) -> int:
+    """C(n, ceil(n/2)): the size of a middle layer of the subsets of {1..n}."""
+    return math.comb(n, (n + 1) // 2)
+
+
 def max_antichain(n: int, max_n: int = 5) -> SpernerSearch:
     """Exhaustively verify the antichain bound C(n, ceil(n/2)) and count winners."""
     best = 0
@@ -110,7 +115,7 @@ def max_antichain(n: int, max_n: int = 5) -> SpernerSearch:
             best, winners = size, 1
         elif size == best:
             winners += 1
-    return SpernerSearch(n, best, winners, total, math.comb(n, (n + 1) // 2))
+    return SpernerSearch(n, best, winners, total, sperner_bound(n))
 
 
 def lym_sum(antichain: Iterable[Iterable[int]], n: int) -> Fraction:

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -145,6 +146,67 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: check needs a nonzero polynomial\n"
+
+
+# Separating witnesses for the paper's shape hierarchy: the full `check`
+# property vector of each, and the first k where Newton's inequality fails.
+SHAPE_WITNESSES = [
+    # unimodal and log-concave, yet Newton fails and a complex pair exists
+    ([1, 1, 1], 1, {
+        "unimodal": True, "mode": 0, "log_concave": True, "palindromic": True,
+        "gamma_nonnegative": False, "gamma": ["1", "-1"], "real_rooted": False,
+    }),
+    # Newton holds and it is log-concave, but its internal zeros break
+    # unimodality: log-concavity needs the no-internal-zeros hypothesis
+    ([1, 0, 0, 1], None, {
+        "unimodal": False, "mode": None, "log_concave": True, "palindromic": True,
+        "gamma_nonnegative": False, "gamma": ["1", "-3"], "real_rooted": False,
+    }),
+    # palindromic with gamma = (1, 0, 5) >= 0, unimodal and log-concave,
+    # yet Newton fails, so gamma-positivity does not give real roots
+    ([1, 4, 11, 4, 1], 1, {
+        "unimodal": True, "mode": 2, "log_concave": True, "palindromic": True,
+        "gamma_nonnegative": True, "gamma": ["1", "0", "5"], "real_rooted": False,
+    }),
+]
+
+
+class TestShapeHierarchy:
+    @pytest.mark.parametrize("coeffs, newton_k, checks", SHAPE_WITNESSES)
+    def test_separating_witness(self, capsys, coeffs, newton_k, checks):
+        code, out = run(capsys, "check", json.dumps(coeffs))
+        assert code == 1
+        assert json.loads(out)["checks"] == checks
+        assert polycore._newton_violation(coeffs) == newton_k
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer conversion limit before 3.10.7"
+)
+class TestPastTheDigitLimit:
+    def test_sperner_bound_of_6019_digits(self, capsys):
+        code, out = run(capsys, "sperner", "20000")
+        assert code == 0
+        bound = json.loads(out)["bound"]
+        exact = math.comb(20000, 10000)
+        assert len(bound) == 6019
+        assert bound[:19] == str(exact // 10**6000)
+        assert bound[-20:] == str(exact % 10**20).zfill(20)
+
+    def test_a_5000_digit_coefficient_comes_back_exactly(self, capsys):
+        ones = "1" * 5000
+        code, out = run(capsys, "check", json.dumps([ones]))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["coeffs"] == [ones] and doc["checks"]["gamma"] == [ones]
+
+    @pytest.mark.parametrize("argv", [["check", "[1]"], ["check", "not-json"], ["no-such-command"]])
+    def test_the_limit_is_restored(self, capsys, argv):
+        before = sys.get_int_max_str_digits()
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert sys.get_int_max_str_digits() == before != 0
 
 
 class TestInjectionAudit:

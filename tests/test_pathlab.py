@@ -5,15 +5,11 @@ import pytest
 
 from gausslab.errors import ParityViolation, PathMissesLine
 from gausslab.pathlab import (
-    GridLine,
-    LineOrientation,
     count_free,
     count_free_closed_form,
     monotone_injection,
     monotone_paths,
     reflect_path,
-    reflect_point,
-    reflect_through_point,
     sagan_sequence,
     swap_bisector,
 )
@@ -24,77 +20,58 @@ def _unit_steps(path):
     return all(abs(x1 - x0) + abs(y1 - y0) == 1 for (x0, y0), (x1, y1) in zip(path, path[1:]))
 
 
+def _mirror(c, v):
+    """v reflected across x - y = c, as the one vertex after a touch at (c, 0)."""
+    return reflect_path(c, ((c, 0), v))[1]
+
+
 class TestReflection:
     def test_diagonal_swap(self):
-        line = GridLine(LineOrientation.DIAG_UP, 0)
-        assert reflect_point(line, (2, 5)) == (5, 2)
-
-    def test_involution_all_orientations(self):
-        rng = random.Random(7)
-        for orientation in LineOrientation:
-            for _ in range(50):
-                line = GridLine(orientation, rng.randint(-5, 5))
-                v = (rng.randint(-9, 9), rng.randint(-9, 9))
-                assert reflect_point(line, reflect_point(line, v)) == v
-
-    def test_fixes_line_points(self):
-        cases = [
-            (GridLine(LineOrientation.HORIZONTAL, 3), (7, 3)),
-            (GridLine(LineOrientation.VERTICAL, -2), (-2, 4)),
-            (GridLine(LineOrientation.DIAG_UP, 1), (5, 4)),
-            (GridLine(LineOrientation.DIAG_DOWN, 6), (2, 4)),
-        ]
-        for line, v in cases:
-            assert line.contains(v)
-            assert reflect_point(line, v) == v
-
-    def test_point_reflection_is_not_a_line_reflection(self):
-        # The central symmetry through a point moves every other point,
-        # including points a line reflection would fix.
-        assert reflect_through_point((1, 1), (0, 0)) == (2, 2)
-        assert reflect_through_point((1, 1), reflect_through_point((1, 1), (4, -3))) == (4, -3)
+        assert _mirror(0, (2, 5)) == (5, 2)
+        assert _mirror(3, (2, 5)) == (8, -1)
 
     def test_path_suffix_reflection(self):
-        line = GridLine(LineOrientation.DIAG_UP, 0)
         path = ((0, 0), (1, 0), (1, 1))
         # last touch is the endpoint itself, so nothing is reflected
-        assert reflect_path(line, path) == path
+        assert reflect_path(0, path) == path
         path2 = ((0, 0), (1, 0), (2, 0))
-        assert reflect_path(line, path2) == ((0, 0), (0, 1), (0, 2))
+        assert reflect_path(0, path2) == ((0, 0), (0, 1), (0, 2))
+        # the prefix runs through the last touch, not the first
+        path3 = ((0, 0), (0, 1), (1, 1), (1, 2), (1, 3))
+        assert reflect_path(0, path3) == ((0, 0), (0, 1), (1, 1), (2, 1), (3, 1))
 
     def test_path_misses_line(self):
-        line = GridLine(LineOrientation.HORIZONTAL, 5)
         with pytest.raises(PathMissesLine):
-            reflect_path(line, ((0, 0), (1, 0)))
+            reflect_path(5, ((0, 0), (1, 0)))
 
     def test_path_reflection_involution_and_validity(self):
         rng = random.Random(11)
         for _ in range(100):
+            c = rng.randint(-5, 5)
             steps = [rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)]) for _ in range(8)]
-            vertices = [(0, 0)]
+            vertices = [(c, 0)]  # starts on the line
             for dx, dy in steps:
                 x, y = vertices[-1]
                 vertices.append((x + dx, y + dy))
             path = tuple(vertices)
-            line = GridLine(LineOrientation.DIAG_UP, 0)  # touches at the origin
-            reflected = reflect_path(line, path)
+            reflected = reflect_path(c, path)
             assert _unit_steps(reflected)
-            assert reflect_path(line, reflected) == path
+            assert reflect_path(c, reflected) == path
 
 
 class TestSwapBisector:
     def test_derived_offset(self):
-        line = swap_bisector((2, 3), (3, 2))
-        assert line.orientation is LineOrientation.DIAG_UP
-        assert reflect_point(line, (2, 3)) == (3, 2)
+        assert swap_bisector((2, 3), (3, 2)) == 0
+        assert swap_bisector((1, 3), (2, 2)) == -1
+        assert _mirror(0, (2, 3)) == (3, 2)
 
     def test_endpoints_swap(self):
         # swap_bisector does not re-check this on each call.
         for x in range(-6, 7):
             for y in range(-6, 7):
                 for q in ((x + 1, y - 1), (x - 1, y + 1)):
-                    line = swap_bisector((x, y), q)
-                    assert reflect_point(line, (x, y)) == q and reflect_point(line, q) == (x, y)
+                    c = swap_bisector((x, y), q)
+                    assert _mirror(c, (x, y)) == q and _mirror(c, q) == (x, y)
 
     def test_rejects_other_differences(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ ROOTS = ("cli", "criteria", "__main__")
 # Definitions only the tests reach, each kept for the reason given.
 TEST_REFERENCES = {
     ("polycore", "pack"): "the packed format that unpack inverts, written out once",
-    ("pathlab", "reflect_through_point"): "the point symmetry compared with line reflection",
     ("posetlab", "des"): "the descent count that eulerian's recurrence is tested against",
     ("polycore", "GammaVector.reconstruct"): "the inverse the gamma re-expansion tests use",
 }
