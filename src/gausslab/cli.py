@@ -9,15 +9,15 @@ Each handler returns its JSON fields and whether its checked property holds.
 stdout or ``--out``, and picks the exit code: 0 the property holds, 1 it is
 false, 2 a usage, domain or output error, 3 enumeration budget exceeded.
 Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1), a
-``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, ``check``
-of the zero polynomial, and an ``--out`` file that cannot be written.
+``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, ``sperner n``
+with n > ``SPERNER_MAX_N``, ``check`` of the zero polynomial, and an ``--out``
+file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import stat
 import sys
@@ -32,6 +32,10 @@ SCHEMA_VERSION = 1
 # What a handler returns: its JSON fields (None if it printed its own output)
 # and whether its checked property holds.
 Result = tuple[dict | None, bool]
+
+# The bound C(n, ceil(n/2)) has about 0.3 n decimal digits, and CPython prints
+# them in time quadratic in n, so `sperner` refuses larger n before computing it.
+SPERNER_MAX_N = 100_000
 
 
 def _file_mode(path: str) -> int:
@@ -201,12 +205,11 @@ def _antichain_summary(search: posetlab.SpernerSearch) -> dict:
 
 def _cmd_sperner(args) -> Result:
     n = args.n
-    bound = posetlab.sperner_bound(n)
-    body = {
-        "n": n,
-        "bound": str(bound),
-        "middle_layer_sizes": [str(math.comb(n, n // 2)), str(bound)],
-    }
+    if n > SPERNER_MAX_N:
+        raise ValueError(f"need n <= {SPERNER_MAX_N}")
+    # C(n, floor(n/2)) = C(n, ceil(n/2)): both middle layers have the bound's size.
+    bound = str(posetlab.sperner_bound(n))
+    body = {"n": n, "bound": bound, "middle_layer_sizes": [bound, bound]}
     if not args.exhaustive:
         return body, True
     search = posetlab.max_antichain(n, max_n=args.max_exhaustive)

@@ -342,42 +342,29 @@ class WitnessCheck:
         }
 
 
-def _try_partition(parts: list[int], box: tuple[int, int]) -> Optional[BoxedPartition]:
-    try:
-        return BoxedPartition(tuple(parts), box)
-    except ValueError:
-        return None
-
-
 def _claimed_witnesses(rule: InjectionRule, a: int, b: int):
-    """(claimed level, list of claimed partitions or None, kind) for a rule and box."""
-    pad = [0] * (a - 2) if a >= 2 else None
-    if rule is InjectionRule.COLUMN_FILL:
-        if pad is None:
-            return 2 * b - 2, None, "collision"
-        lam = _try_partition([b, b - 2] + pad, (a, b))
-        dell = _try_partition([b - 1, b - 1] + pad, (a, b))
-        return 2 * b - 2, [lam, dell], "collision"
+    """(claimed level, claimed partitions) for a rule and box.
+
+    The partitions are None when any of them does not fit the box.  One
+    witness claims a tie in the selection, two claim a collision.
+    """
     if rule is InjectionRule.ROW_FILL_TRANSPOSE:
-        # The documented pair lives in the transposed box; carry it back.
-        if b < 2:
-            return 2 * a - 2, None, "collision"
-        tpad = [0] * (b - 2)
-        lam_t = _try_partition([a, a - 2] + tpad, (b, a))
-        del_t = _try_partition([a - 1, a - 1] + tpad, (b, a))
-        lam = conjugate(lam_t) if lam_t is not None else None
-        dell = conjugate(del_t) if del_t is not None else None
-        return 2 * a - 2, [lam, dell], "collision"
-    if rule is InjectionRule.MIN_BASE_VALUE:
-        if pad is None:
-            return b, None, "collision"
-        lam = _try_partition([b] + [0] * (a - 1), (a, b))
-        dell = _try_partition([b - 1, 1] + pad, (a, b))
-        return b, [lam, dell], "collision"
-    if rule is InjectionRule.MAX_WT:
-        lam = _try_partition([1] + [0] * (a - 1), (a, b))
-        return 1, [lam], "undefined"
-    raise ValueError(f"unknown rule {rule!r}")
+        # ColumnFill's claim on the transposed box, carried back.
+        k, witnesses = _claimed_witnesses(InjectionRule.COLUMN_FILL, b, a)
+        return k, None if witnesses is None else [conjugate(w) for w in witnesses]
+    pad = [0] * (a - 2)
+    if rule is InjectionRule.COLUMN_FILL:
+        k, claimed = 2 * b - 2, [[b, b - 2] + pad, [b - 1, b - 1] + pad]
+    elif rule is InjectionRule.MIN_BASE_VALUE:
+        k, claimed = b, [[b] + [0] * (a - 1), [b - 1, 1] + pad]
+    elif rule is InjectionRule.MAX_WT:
+        k, claimed = 1, [[1] + [0] * (a - 1)]
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    try:
+        return k, [BoxedPartition(tuple(parts), (a, b)) for parts in claimed]
+    except ValueError:
+        return k, None
 
 
 def check_claim(first: AuditReport) -> WitnessCheck:
@@ -387,44 +374,28 @@ def check_claim(first: AuditReport) -> WitnessCheck:
     """
     rule = first.rule
     a, b = first.box
-    claimed_k, witnesses, kind = _claimed_witnesses(rule, a, b)
+    claimed_k, witnesses = _claimed_witnesses(rule, a, b)
     middle = (a * b) // 2
-
-    def finish(verdict: ClaimVerdict, detail: str) -> WitnessCheck:
-        return WitnessCheck(
-            rule,
-            (a, b),
-            claimed_k,
-            tuple(w.parts for w in witnesses) if witnesses and all(witnesses) else (),
-            verdict,
-            detail,
-            first,
-            None
-            if verdict is ClaimVerdict.NOT_APPLICABLE
-            else first.level == claimed_k,
-        )
-
-    if witnesses is None or any(w is None for w in witnesses):
-        return finish(ClaimVerdict.NOT_APPLICABLE, "claimed witnesses invalid in this box")
-    if claimed_k >= middle:
-        return finish(
-            ClaimVerdict.NOT_APPLICABLE,
-            f"claimed level {claimed_k} is not below the middle {middle}",
-        )
-    if kind == "undefined":
-        image = apply_rule(rule, witnesses[0])
-        if image is None:
-            return finish(ClaimVerdict.CONFIRMED, "selection ties as claimed")
-        return finish(
-            ClaimVerdict.NOT_A_FAILURE, f"rule is defined, image {image.parts}"
-        )
-    lam, dell = witnesses
-    img_l, img_d = apply_rule(rule, lam), apply_rule(rule, dell)
-    if img_l.parts == img_d.parts:
-        return finish(
-            ClaimVerdict.CONFIRMED, f"witnesses collide on image {img_l.parts}"
-        )
-    return finish(
-        ClaimVerdict.NOT_A_FAILURE,
-        f"distinct images {img_l.parts} and {img_d.parts}",
-    )
+    verdict = ClaimVerdict.NOT_APPLICABLE
+    if witnesses is None:
+        detail = "claimed witnesses invalid in this box"
+    elif claimed_k >= middle:
+        detail = f"claimed level {claimed_k} is not below the middle {middle}"
+    else:
+        images = [apply_rule(rule, w) for w in witnesses]
+        if len(images) == 1:
+            (image,) = images
+            held = image is None
+            detail = "selection ties as claimed"
+            if not held:
+                detail = f"rule is defined, image {image.parts}"
+        else:
+            first_image, second_image = (image.parts for image in images)
+            held = first_image == second_image
+            detail = f"witnesses collide on image {first_image}"
+            if not held:
+                detail = f"distinct images {first_image} and {second_image}"
+        verdict = ClaimVerdict.CONFIRMED if held else ClaimVerdict.NOT_A_FAILURE
+    claimed = tuple(w.parts for w in witnesses or ())
+    at_level = None if verdict is ClaimVerdict.NOT_APPLICABLE else first.level == claimed_k
+    return WitnessCheck(rule, (a, b), claimed_k, claimed, verdict, detail, first, at_level)

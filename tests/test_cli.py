@@ -382,10 +382,22 @@ def _max_wt_claim_one_level_up(monkeypatch):
     claimed = injectlab._claimed_witnesses
 
     def shifted(rule, a, b):
-        k, witnesses, kind = claimed(rule, a, b)
-        return (k + 1 if rule is injectlab.InjectionRule.MAX_WT else k), witnesses, kind
+        k, witnesses = claimed(rule, a, b)
+        return (k + 1 if rule is injectlab.InjectionRule.MAX_WT else k), witnesses
 
     monkeypatch.setattr(injectlab, "_claimed_witnesses", shifted)
+
+
+def _row_fill_claim_untransposed(monkeypatch):
+    # RowFillTranspose gets ColumnFill's claim in the (a, b) box itself; only
+    # the transposition tells the two claims apart.
+    claimed = injectlab._claimed_witnesses
+    rules = injectlab.InjectionRule
+
+    def untransposed(rule, a, b):
+        return claimed(rules.COLUMN_FILL if rule is rules.ROW_FILL_TRANSPOSE else rule, a, b)
+
+    monkeypatch.setattr(injectlab, "_claimed_witnesses", untransposed)
 
 
 def _max_wt_side_one_verdicts_swapped(monkeypatch):
@@ -463,6 +475,7 @@ class TestReportCanFail:
             ("gaussian", _one_box_not_palindromic),
             ("gaussian", _minimal_edit_reproduces_enumeration),
             ("injections", _max_wt_claim_one_level_up),
+            ("injections", _row_fill_claim_untransposed),
             ("injections", _max_wt_side_one_verdicts_swapped),
             ("posets", _stirling_row_with_a_dip),
             ("paths", _closed_form_off_by_one),
@@ -852,6 +865,14 @@ class TestExitTwo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: need ") and captured.err.count("\n") == 1
+
+    def test_sperner_past_its_cap(self, capsys, monkeypatch):
+        # Refused before the bound is computed, let alone printed.
+        monkeypatch.setattr(posetlab, "sperner_bound", None)
+        assert main(["sperner", str(cli.SPERNER_MAX_N + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need n <= {cli.SPERNER_MAX_N}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -279,6 +279,20 @@ class TestAudit:
         assert doc["witnesses"] == [[1, 0]]
 
 
+def _row_fill_claim_as_printed(a, b):
+    """RowFillTranspose's documented pair, written out: ([a, a-2, 0, ...],
+    [a-1, a-1, 0, ...]) in the (b, a) box at level 2a - 2, conjugated back;
+    None when either does not fit."""
+    if b < 2:
+        return 2 * a - 2, None
+    pad = (0,) * (b - 2)
+    try:
+        pair = [BoxedPartition(head + pad, (b, a)) for head in [(a, a - 2), (a - 1, a - 1)]]
+    except ValueError:
+        return 2 * a - 2, None
+    return 2 * a - 2, [conjugate(w) for w in pair]
+
+
 class TestClaims:
     def test_rule_numbers(self):
         assert RULE_BY_NUMBER[1] is InjectionRule.COLUMN_FILL
@@ -312,20 +326,27 @@ class TestClaims:
     def test_claimed_witnesses_are_what_check_claim_assumes(self, rule):
         # check_claim does not re-check these: the witnesses sit on the
         # claimed level and are distinct, only MaxWt's claim is a one-witness
-        # tie, a collision rule maps both witnesses, and ColumnFill claims 2b - 2.
+        # tie (and fits every box), a collision rule maps both witnesses, and
+        # ColumnFill claims 2b - 2.
         for a in range(1, 9):
             for b in range(1, 9):
-                k, witnesses, kind = _claimed_witnesses(rule, a, b)
+                k, witnesses = _claimed_witnesses(rule, a, b)
                 if rule is InjectionRule.COLUMN_FILL:
                     assert k == 2 * b - 2
-                assert (kind == "undefined") is (rule is InjectionRule.MAX_WT)
-                if witnesses is None or any(w is None for w in witnesses):
+                if witnesses is None:
+                    assert rule is not InjectionRule.MAX_WT
                     continue
-                assert all(w.weight == k for w in witnesses), (a, b)
+                assert all(w.box == (a, b) and w.weight == k for w in witnesses), (a, b)
                 assert len({w.parts for w in witnesses}) == len(witnesses), (a, b)
-                assert len(witnesses) == (1 if kind == "undefined" else 2)
-                if kind == "collision":
+                assert len(witnesses) == (1 if rule is InjectionRule.MAX_WT else 2)
+                if len(witnesses) == 2:
                     assert all(apply_rule(rule, w) is not None for w in witnesses), (a, b)
+
+    def test_row_fill_claim_is_the_printed_transposed_pair(self):
+        for a in range(1, 9):
+            for b in range(1, 9):
+                claim = _claimed_witnesses(InjectionRule.ROW_FILL_TRANSPOSE, a, b)
+                assert claim == _row_fill_claim_as_printed(a, b), (a, b)
 
     def test_max_wt_claim_with_a_side_of_one(self):
         # The claimed input (1, 0, ..., 0) has one candidate, so the rule is
