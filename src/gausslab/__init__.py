@@ -3,8 +3,8 @@
 Submodules:
 
 - ``polycore``: integer polynomials and coefficient-shape tests
-  (unimodality, log-concavity, palindromicity, darga, gamma vectors,
-  Sturm real-rootedness, the nondecreasing-coefficient shift test).
+  (unimodality, log-concavity, palindromicity, darga, gamma vectors as
+  plain tuples, Sturm real-rootedness, the nondecreasing-coefficient shift test).
 - ``qgauss``: q-integers, q-factorials, Gaussian polynomials by four independent
   routes, and the multiplicity-vector (KOH) sum with its width formulas in ``KOH_RULES``.
 - ``injectlab``: partitions in a box, candidate level-raising rules, and
@@ -16,14 +16,13 @@ Submodules:
 - ``cli``: the command-line surface.
 """
 
-from .polycore import IntPoly, GammaVector
+from .polycore import IntPoly
 from .qgauss import KOH_RULES
 from .injectlab import AuditReport, BoxedPartition, InjectionRule
 from .posetlab import RankedPoset
 
 __all__ = [
     "IntPoly",
-    "GammaVector",
     "KOH_RULES",
     "AuditReport",
     "BoxedPartition",

@@ -9,9 +9,10 @@ Each handler returns its JSON fields and whether its checked property holds.
 stdout or ``--out``, and picks the exit code: 0 the property holds, 1 it is
 false, 2 a usage, domain or output error, 3 enumeration budget exceeded.
 Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1), a
-``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, ``sperner n``
-with n > ``SPERNER_MAX_N``, ``check`` of the zero polynomial, and an ``--out``
-file that cannot be written.
+``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, an n above
+the cap of ``sperner``, ``stirling``, ``eulerian`` or ``paths sagan``, a JSON
+argument that is malformed or nested too deeply to parse, ``check`` of the zero
+polynomial, and an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -36,6 +37,21 @@ Result = tuple[dict | None, bool]
 # The bound C(n, ceil(n/2)) has about 0.3 n decimal digits, and CPython prints
 # them in time quadratic in n, so `sperner` refuses larger n before computing it.
 SPERNER_MAX_N = 100_000
+# The other one-number commands have no cheaper shortcut, so each refuses n past
+# the point where one call takes seconds (CPython 3.11 on one x86-64 machine):
+# `stirling 2000` takes 2.5 s against 0.56 s at 1,000; the Sturm count of
+# `eulerian` takes 4.8 s at n = 35 and 13 s at n = 40; `paths sagan 10000 10000`
+# takes 32 s and 183 MiB against 0.41 s at 2,000.
+STIRLING_MAX_N = 1_000
+EULERIAN_MAX_N = 30
+SAGAN_MAX_N = 2_000
+
+
+def _capped(n: int, cap: int) -> int:
+    """``n``, refused as a usage error past ``cap`` before any work is done."""
+    if n > cap:
+        raise ValueError(f"need n <= {cap}")
+    return n
 
 
 def _file_mode(path: str) -> int:
@@ -68,11 +84,16 @@ def _emit(doc: dict, out: str | None = None) -> None:
         raise OSError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _parse_coeffs(text: str) -> IntPoly:
+def _parse_json(text: str, what: str):
+    """``text`` as JSON; a malformed or too deeply nested one is a ValueError."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"coefficients are not valid JSON: {exc}") from exc
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what} not valid JSON: {exc}") from exc
+
+
+def _parse_coeffs(text: str) -> IntPoly:
+    data = _parse_json(text, "coefficients are")
     if not isinstance(data, list):
         raise ValueError("coefficients must be a JSON array")
     return IntPoly.from_json(data)
@@ -135,13 +156,9 @@ def _cmd_check(args) -> Result:
     if requested["palindromic"]:
         checks["palindromic"] = polycore.is_palindromic(poly, center)
     if requested["gamma"]:
-        if polycore.is_palindromic(poly, center):
-            gv = polycore.gamma_decompose(poly, center)
-            checks["gamma_nonnegative"] = gv.is_nonnegative
-            checks["gamma"] = [str(g) for g in gv.gammas]
-        else:
-            checks["gamma_nonnegative"] = False
-            checks["gamma"] = None
+        gammas = polycore.gamma_decompose(poly, center)
+        checks["gamma_nonnegative"] = gammas is not None and min(gammas) >= 0
+        checks["gamma"] = None if gammas is None else [str(g) for g in gammas]
     if requested["real_rooted"]:
         checks["real_rooted"] = polycore.is_real_rooted(poly)
     body = {"coeffs": poly.to_json(), "center": center, "checks": checks}
@@ -204,24 +221,19 @@ def _antichain_summary(search: posetlab.SpernerSearch) -> dict:
 
 
 def _cmd_sperner(args) -> Result:
-    n = args.n
-    if n > SPERNER_MAX_N:
-        raise ValueError(f"need n <= {SPERNER_MAX_N}")
+    n = _capped(args.n, SPERNER_MAX_N)
     # C(n, floor(n/2)) = C(n, ceil(n/2)): both middle layers have the bound's size.
     bound = str(posetlab.sperner_bound(n))
     body = {"n": n, "bound": bound, "middle_layer_sizes": [bound, bound]}
     if not args.exhaustive:
         return body, True
-    search = posetlab.max_antichain(n, max_n=args.max_exhaustive)
+    search = posetlab.max_antichain(n)
     body["exhaustive"] = {**_antichain_summary(search), "bound_holds": search.bound_holds}
     return body, criteria.sperner_holds(search)
 
 
 def _cmd_lym(args) -> Result:
-    try:
-        family = json.loads(args.antichain)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"antichain is not valid JSON: {exc}") from exc
+    family = _parse_json(args.antichain, "antichain is")
     if not isinstance(family, list) or not all(
         isinstance(subset, list) and all(type(x) is int for x in subset) for subset in family
     ):
@@ -250,14 +262,14 @@ def _cmd_bruhat(args) -> Result:
 
 
 def _cmd_stirling(args) -> Result:
-    row = posetlab.stirling_row(args.n)
+    row = posetlab.stirling_row(_capped(args.n, STIRLING_MAX_N))
     unimodal = polycore.is_unimodal(IntPoly(row))
     body = {"n": args.n, "row": [str(c) for c in row], "unimodal": unimodal, "bell": str(sum(row))}
     return body, unimodal
 
 
 def _cmd_eulerian(args) -> Result:
-    poly = posetlab.eulerian(args.n)
+    poly = posetlab.eulerian(_capped(args.n, EULERIAN_MAX_N))
     checks = criteria.eulerian_checks(poly, args.n)
     return {"n": args.n, "coeffs": poly.to_json(), "checks": checks}, all(checks.values())
 
@@ -298,7 +310,7 @@ def _cmd_paths_monotone(args) -> Result:
 
 
 def _cmd_paths_sagan(args) -> Result:
-    seq = pathlab.sagan_sequence(args.n, args.k)
+    seq = pathlab.sagan_sequence(_capped(args.n, SAGAN_MAX_N), args.k)
     unimodal = polycore.is_unimodal(IntPoly(seq))
     body = {"n": args.n, "k": args.k, "sequence": [str(c) for c in seq], "unimodal": unimodal}
     return body, unimodal
@@ -412,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sperner", help="largest antichain in the subset lattice")
     p.add_argument("n", type=int)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--max-exhaustive", type=int, default=5)
     p.set_defaults(handler=_cmd_sperner)
 
     p = sub.add_parser("lym", help="exact LYM sum of an antichain")

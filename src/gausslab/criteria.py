@@ -213,13 +213,13 @@ def stirling_rows_hold(nmax: int) -> bool:
 def eulerian_checks(poly: IntPoly, n: int) -> dict[str, bool]:
     """The certificates of A_n: palindromic, unimodal, real-rooted, coefficients
     summing to n!, and gamma-nonnegative (false unless palindromic)."""
-    palindromic = polycore.is_palindromic(poly, n - 1)
+    gammas = polycore.gamma_decompose(poly, n - 1)
     return {
-        "palindromic": palindromic,
+        "palindromic": gammas is not None,
         "unimodal": polycore.is_unimodal(poly),
         "real_rooted": polycore.is_real_rooted(poly),
         "coefficient_sum_is_factorial": poly.evaluate(1) == math.factorial(n),
-        "gamma_nonnegative": palindromic and polycore.is_gamma_nonnegative(poly, n - 1),
+        "gamma_nonnegative": gammas is not None and min(gammas) >= 0,
     }
 
 

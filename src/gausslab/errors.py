@@ -13,10 +13,6 @@ class ZeroPolynomial(GausslabError):
     """Operation is undefined on the zero polynomial."""
 
 
-class NotPalindromic(GausslabError):
-    """Input polynomial is not palindromic about the requested center."""
-
-
 class PreconditionViolated(GausslabError):
     """Input fails a documented precondition (e.g. coefficients decrease)."""
 

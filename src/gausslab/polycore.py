@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    NonExactDivision,
-    NotPalindromic,
-    PreconditionViolated,
-    ZeroPolynomial,
-)
+from .errors import NonExactDivision, PreconditionViolated, ZeroPolynomial
 
 
 @dataclass(frozen=True)
@@ -369,42 +364,26 @@ def is_darga_palindromic(f: PolyLike) -> bool:
 # -- gamma decomposition -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaVector:
-    """Coordinates of a palindromic polynomial in the X^k (1+X)^(n-2k) basis.
-
-    ``center`` stores n, i.e. twice the palindromic center.
-    """
-
-    gammas: tuple[int, ...]
-    center: int
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return all(g >= 0 for g in self.gammas)
-
-    def reconstruct(self) -> IntPoly:
-        total = IntPoly.zero()
-        for k, g in enumerate(self.gammas):
-            if g:
-                total = total + binomial_power(self.center - 2 * k).shift(k) * g
-        return total
-
-
-def gamma_decompose(f: PolyLike, n: int) -> GammaVector:
-    """Unique gamma-vector of a polynomial palindromic with center n/2.
+def gamma_decompose(f: PolyLike, n: int) -> tuple[int, ...] | None:
+    """Unique gamma-vector of f in the X^k (1+X)^(n-2k) basis, or None when f
+    is not palindromic with center n/2.
 
     Solves the unitriangular change of basis by peeling the basis elements
     off the low-degree coefficients; integer inputs yield integer gammas
     because the basis change is unimodular over the integers.  Zeroing the
     low half of the residual zeroes all of it, since the input and every
     basis element are palindromic about n/2.
+
+    >>> gamma_decompose([1, 4, 1], 2)
+    (1, 2)
+    >>> gamma_decompose([1, 2], 2) is None
+    True
     """
     if n < 0:
         raise ValueError("center parameter must be nonnegative")
     p = as_poly(f)
     if not is_palindromic(p, n):
-        raise NotPalindromic(f"not palindromic with center {n}/2: {p.coeffs}")
+        return None
     residual = list(p.coeffs) + [0] * (n + 1 - len(p.coeffs))
     gammas = []
     for k in range(n // 2 + 1):
@@ -413,11 +392,16 @@ def gamma_decompose(f: PolyLike, n: int) -> GammaVector:
         if g:
             for t in range(n - 2 * k + 1):
                 residual[k + t] -= g * math.comb(n - 2 * k, t)
-    return GammaVector(tuple(gammas), n)
+    return tuple(gammas)
 
 
-def is_gamma_nonnegative(f: PolyLike, n: int) -> bool:
-    return gamma_decompose(f, n).is_nonnegative
+def gamma_expand(gammas: Sequence[int], n: int) -> IntPoly:
+    """sum_k gammas[k] X^k (1+X)^(n-2k): the inverse of ``gamma_decompose``."""
+    total = IntPoly.zero()
+    for k, g in enumerate(gammas):
+        if g:
+            total = total + binomial_power(n - 2 * k).shift(k) * g
+    return total
 
 
 # -- exact real-rootedness via Sturm sequences --------------------------------

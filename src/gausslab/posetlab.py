@@ -59,17 +59,19 @@ def _comparable(s: int, t: int) -> bool:
     return s & t == s or s & t == t
 
 
-def iter_antichains(n: int, max_n: int = 5) -> Iterator[tuple[int, ...]]:
+# n = 5 has 7,581 antichains (0.06 s); n = 6 has 7,828,354 (122 s in CPython
+# 3.11 on one x86-64 machine) and n = 7 about 2.4e12, so the search stops at 5.
+ANTICHAIN_MAX_N = 5
+
+
+def iter_antichains(n: int) -> Iterator[tuple[int, ...]]:
     """Every antichain of subsets of {1..n} (as mask tuples), empty one included.
 
-    The count is Dedekind-sized, hence the cap; raise it explicitly for n = 6
-    if you can afford the wait.  A negative cap is a ValueError.
+    The count is Dedekind-sized, hence ``ANTICHAIN_MAX_N``.
     """
-    if max_n < 0:
-        raise ValueError(f"need max_n >= 0, got {max_n}")
-    if n > max_n:
+    if n > ANTICHAIN_MAX_N:
         raise EnumerationBudgetExceeded(
-            f"antichain families for n = {n} exceed the cap {max_n}"
+            f"antichain families for n = {n} exceed the cap {ANTICHAIN_MAX_N}"
         )
     masks = list(range(1 << n))
 
@@ -103,12 +105,12 @@ def sperner_bound(n: int) -> int:
     return math.comb(n, (n + 1) // 2)
 
 
-def max_antichain(n: int, max_n: int = 5) -> SpernerSearch:
+def max_antichain(n: int) -> SpernerSearch:
     """Exhaustively verify the antichain bound C(n, ceil(n/2)) and count winners."""
     best = 0
     winners = 0
     total = 0
-    for chain in iter_antichains(n, max_n):
+    for chain in iter_antichains(n):
         total += 1
         size = len(chain)
         if size > best:

@@ -540,8 +540,8 @@ def _sources_miscounted(monkeypatch):
 def _one_maximum_too_many(monkeypatch):
     search = posetlab.max_antichain
 
-    def miscounted(n, max_n=5):
-        found = search(n, max_n)
+    def miscounted(n):
+        found = search(n)
         return dataclasses.replace(found, num_maximum=found.num_maximum + 1)
 
     monkeypatch.setattr(posetlab, "max_antichain", miscounted)
@@ -823,6 +823,14 @@ class TestOutFileMode:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+class _Built(Exception):
+    """Raised by a spy that stands in for a row builder."""
+
+
+# 50,000 levels of nesting: past the JSON decoder's recursion guard.
+_DEEP_JSON = "[" * 50_000 + "]" * 50_000
+
+
 class TestExitTwo:
     def test_out_into_a_missing_directory(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "report.json"
@@ -857,7 +865,6 @@ class TestExitTwo:
             ["gauss", "3", "3", "--method", "koh", "--budget", "-1"],
             ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "-1"],
             ["report", "--amax", "1", "--bmax", "1", "--budget", "-5"],
-            ["sperner", "3", "--exhaustive", "--max-exhaustive", "-1"],
         ],
     )
     def test_empty_or_meaningless_range(self, capsys, argv):
@@ -875,12 +882,46 @@ class TestExitTwo:
         assert captured.err == f"error: need n <= {cli.SPERNER_MAX_N}\n"
 
     @pytest.mark.parametrize(
+        "argv, module, builder, cap",
+        [
+            (lambda n: ["stirling", n], posetlab, "stirling_row", cli.STIRLING_MAX_N),
+            (lambda n: ["eulerian", n], posetlab, "eulerian", cli.EULERIAN_MAX_N),
+            (lambda n: ["paths", "sagan", n, "1"], pathlab, "sagan_sequence", cli.SAGAN_MAX_N),
+        ],
+    )
+    def test_one_number_commands_past_their_caps(
+        self, capsys, monkeypatch, argv, module, builder, cap
+    ):
+        # A spy in place of the builder: never called past the cap, called at it.
+        built = []
+
+        def spy(n, *rest):
+            built.append(n)
+            raise _Built
+
+        monkeypatch.setattr(module, builder, spy)
+        assert main(argv(str(cap + 1))) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: need n <= {cap}\n")
+        assert built == []
+        with pytest.raises(_Built):
+            main(argv(str(cap)))
+        assert built == [cap]
+
+    @pytest.mark.parametrize("argv", [["check", _DEEP_JSON], ["lym", "3", _DEEP_JSON]])
+    def test_json_nested_too_deeply_to_parse(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert " not valid JSON: " in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["gauss", "3", "3", "--method", "enum", "--budget", "0"],
             ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "0"],
             ["report", "--amax", "1", "--bmax", "1", "--budget", "0"],
-            ["sperner", "3", "--exhaustive", "--max-exhaustive", "0"],
         ],
     )
     def test_zero_budget_is_exceeded_by_every_box(self, capsys, argv):
@@ -924,7 +965,7 @@ ARGVS = st.one_of(
           _opt("--palindromic"), _opt("--gamma"), _opt("--real-rooted")),
     _argv("injection-audit", _RULE, _flag("--amax", hi=3), _flag("--bmax", hi=3),
           _opt("--verify-claims"), _opt("--table"), _flag("--budget", hi=200)),
-    _argv("sperner", _n(), _opt("--exhaustive"), _flag("--max-exhaustive", hi=5)),
+    _argv("sperner", _n(), _opt("--exhaustive")),
     _argv("lym", _n(), _json(_FAMILY)),
     _argv("bruhat", _n()),
     _argv("stirling", _n()),
@@ -982,3 +1023,9 @@ class TestUsage:
             main(["gauss", "2"])
         capsys.readouterr()
         assert err.value.code == 2
+
+    def test_the_antichain_cap_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sperner", "3", "--exhaustive", "--max-exhaustive", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --max-exhaustive 5" in capsys.readouterr().err

@@ -1,8 +1,10 @@
-"""The examples in gausslab's docstrings are run and must pass."""
+"""The examples in gausslab's docstrings and README are run and must pass."""
 
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,10 @@ def test_the_examples_are_found():
         for name in MODULES
     )
     assert attempted >= 10
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.DOTALL)
+    assert tour, "README has no Library quick tour python block"
+    exec(compile(tour.group(1), "README.md quick tour", "exec"), {})

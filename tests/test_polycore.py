@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from gausslab import criteria, polycore, qgauss
 from gausslab.errors import (
     NonExactDivision,
-    NotPalindromic,
     PreconditionViolated,
     ZeroPolynomial,
 )
 from gausslab.polycore import (
-    GammaVector,
     IntPoly,
     binomial_power,
     boros_moll_P,
@@ -23,8 +21,8 @@ from gausslab.polycore import (
     decompose_shift,
     div_exact,
     gamma_decompose,
+    gamma_expand,
     is_darga_palindromic,
-    is_gamma_nonnegative,
     is_log_concave,
     is_palindromic,
     is_real_rooted,
@@ -161,23 +159,25 @@ class TestPalindromicDarga:
 
 class TestGamma:
     def test_basis_element(self):
-        assert gamma_decompose(binomial_power(4), 4).gammas == (1, 0, 0)
+        assert gamma_decompose(binomial_power(4), 4) == (1, 0, 0)
 
     def test_worked_examples(self):
         # 1 + 4X + X^2 = (1+X)^2 + 2X and 1 + X^2 = (1+X)^2 - 2X.
-        assert gamma_decompose([1, 4, 1], 2).gammas == (1, 2)
-        assert gamma_decompose([1, 0, 1], 2).gammas == (1, -2)
-        assert not is_gamma_nonnegative([1, 0, 1], 2)
-        assert is_gamma_nonnegative([1, 4, 1], 2)
+        assert gamma_decompose([1, 4, 1], 2) == (1, 2)
+        assert gamma_decompose([1, 0, 1], 2) == (1, -2)
+        assert gamma_expand((1, 2), 2) == IntPoly([1, 4, 1])
+        assert gamma_expand((1, -2), 2) == IntPoly([1, 0, 1])
 
     def test_not_palindromic(self):
-        with pytest.raises(NotPalindromic):
-            gamma_decompose([1, 2], 2)
+        # Off-center, asymmetric, or of degree above n: no gamma-vector.
+        for coeffs, n in [([1, 2], 2), ([1, 2], 1), ([1, 1], 3), ([1, 2, 1], 1)]:
+            assert gamma_decompose(coeffs, n) is None, (coeffs, n)
+        with pytest.raises(ValueError):
+            gamma_decompose([1, 2], -1)
 
     def test_reconstruction(self):
         for coeffs, n in [([1, 1, 2, 1, 1], 4), ([0, 1, 1], 3), ([2, 5, 5, 2], 3)]:
-            gv = gamma_decompose(coeffs, n)
-            assert gv.reconstruct() == IntPoly(coeffs)
+            assert gamma_expand(gamma_decompose(coeffs, n), n) == IntPoly(coeffs)
 
     def test_every_small_palindrome_is_exhausted(self):
         # gamma_decompose peels only the low half and does not check that the
@@ -186,12 +186,11 @@ class TestGamma:
         for n in range(8):
             for half in itertools.product(range(-2, 3), repeat=n // 2 + 1):
                 coeffs = list(half) + list(reversed(half[: (n + 1) // 2]))
-                assert gamma_decompose(coeffs, n).reconstruct() == IntPoly(coeffs), coeffs
+                gammas = gamma_decompose(coeffs, n)
+                assert gamma_expand(gammas, n) == IntPoly(coeffs), coeffs
 
     def test_manual_vector(self):
-        gv = GammaVector((1, -1, 2), 4)
-        back = gamma_decompose(gv.reconstruct(), 4)
-        assert back == gv
+        assert gamma_decompose(gamma_expand((1, -1, 2), 4), 4) == (1, -1, 2)
 
 
 @pytest.fixture

@@ -43,13 +43,6 @@ class TestSperner:
         with pytest.raises(EnumerationBudgetExceeded):
             list(iter_antichains(6))
 
-    def test_negative_cap_is_a_usage_error(self):
-        # A cap below zero is meaningless, not one that every n exceeds.
-        with pytest.raises(ValueError):
-            list(iter_antichains(0, max_n=-1))
-        with pytest.raises(EnumerationBudgetExceeded):
-            max_antichain(1, max_n=0)
-
 
 class TestLym:
     def test_example(self):

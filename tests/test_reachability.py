@@ -26,7 +26,7 @@ ROOTS = ("cli", "criteria", "__main__")
 TEST_REFERENCES = {
     ("polycore", "pack"): "the packed format that unpack inverts, written out once",
     ("posetlab", "des"): "the descent count that eulerian's recurrence is tested against",
-    ("polycore", "GammaVector.reconstruct"): "the inverse the gamma re-expansion tests use",
+    ("polycore", "gamma_expand"): "the inverse the gamma re-expansion tests use",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
