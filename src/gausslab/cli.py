@@ -5,9 +5,11 @@ lives here.  Output JSON is deterministic (stable key order, big integers as
 decimal strings, no timestamps), so identical invocations are byte-identical.
 
 Each handler returns its JSON fields and whether its checked property holds.
-``main`` alone adds the ``v`` and ``command`` fields, writes the document to
-stdout or ``--out``, and picks the exit code: 0 the property holds, 1 it is
-false, 2 a usage, domain or output error, 3 enumeration budget exceeded.
+``main`` alone adds the ``v`` and ``command`` fields, writes the one JSON
+document to stdout or ``--out``, and picks the exit code: 0 the property
+holds, 1 it is false, 2 a usage, domain or output error, 3 enumeration budget
+exceeded, which ``report`` and ``injection-audit`` check on their largest box
+before any work.  Both print one injections section and fail on its verdict.
 Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1), a
 ``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, an n above
 the cap of ``sperner``, ``stirling``, ``eulerian`` or ``paths sagan``, a JSON
@@ -30,9 +32,8 @@ from .polycore import IntPoly
 
 SCHEMA_VERSION = 1
 
-# What a handler returns: its JSON fields (None if it printed its own output)
-# and whether its checked property holds.
-Result = tuple[dict | None, bool]
+# What a handler returns: its JSON fields and whether its checked property holds.
+Result = tuple[dict, bool]
 
 # The bound C(n, ceil(n/2)) has about 0.3 n decimal digits, and CPython prints
 # them in time quadratic in n, so `sperner` refuses larger n before computing it.
@@ -168,45 +169,37 @@ def _cmd_check(args) -> Result:
 # -- injection audits --------------------------------------------------------------
 
 
-def _box_range(args) -> tuple[int, int]:
+def _box_range(args) -> tuple[int, int, int]:
+    """``--amax``, ``--bmax`` and ``--budget``, refused before any work if the range
+    is empty or its largest box is over budget (no smaller box holds more)."""
     if args.amax < 1 or args.bmax < 1:
         raise ValueError(f"need --amax and --bmax >= 1, got {args.amax} and {args.bmax}")
-    return args.amax, args.bmax
+    budget = _budget(args)
+    injectlab._check_budget(args.amax, args.bmax, budget)
+    return args.amax, args.bmax, budget
+
+
+def _injections(amax: int, bmax: int, rules: tuple, budget: int) -> dict:
+    """The injections section of ``report`` and ``injection-audit``: each rule's
+    audit of every box in range, the documented claim replayed on each audit,
+    and the verdict over both."""
+    audits = injectlab.audit_all(amax, bmax, rules, budget)
+    claims = [injectlab.check_claim(r) for r in audits]
+    return {
+        "audits": [r.to_json_dict() for r in audits],
+        "claims": [c.to_json_dict() for c in claims],
+        "pass": criteria.injections_hold(audits, claims),
+    }
 
 
 def _cmd_injection_audit(args) -> Result:
-    amax, bmax = _box_range(args)
-    budget = _budget(args)
+    amax, bmax, budget = _box_range(args)
     if args.rule == "all":
         rules = tuple(injectlab.InjectionRule)
     else:
         rules = (injectlab.RULE_BY_NUMBER[int(args.rule)],)
-    audits = injectlab.audit_all(amax, bmax, rules, budget)
-    claims = [injectlab.check_claim(r) for r in audits] if args.verify_claims else []
-    if args.table:
-        for r in audits:
-            print(_audit_row(r))
-        for c in claims:
-            print(
-                f"claim {c.rule.value} ({c.box[0]},{c.box[1]}) k={c.claimed_level}"
-                f" -> {c.verdict.value}: {c.detail}"
-            )
-        return None, True
-    body = {"amax": amax, "bmax": bmax, "audits": [r.to_json_dict() for r in audits]}
-    if args.verify_claims:
-        body["claims"] = [c.to_json_dict() for c in claims]
-    return body, True
-
-
-def _audit_row(r: injectlab.AuditReport) -> str:
-    head = f"{r.rule.value:17s} ({r.box[0]},{r.box[1]})  {r.outcome.value}"
-    if r.outcome is injectlab.AuditOutcome.INJECTIVE_UP_TO_MIDDLE:
-        if r.levels_checked == 0:
-            return f"{head} (no levels below the middle)"
-        return f"{head} (levels 0..{r.levels_checked - 1})"
-    if r.outcome is injectlab.AuditOutcome.COLLISION:
-        return f"{head} at k={r.level}: {r.witnesses[0]} and {r.witnesses[1]} -> {r.image}"
-    return f"{head} at k={r.level}: {r.witnesses[0]} ties among {list(r.candidates)}"
+    section = _injections(amax, bmax, rules, budget)
+    return {"amax": amax, "bmax": bmax, **section}, section["pass"]
 
 
 # -- poset commands ------------------------------------------------------------------
@@ -320,8 +313,7 @@ def _cmd_paths_sagan(args) -> Result:
 
 
 def _cmd_report(args) -> Result:
-    amax, bmax = _box_range(args)
-    budget = _budget(args)
+    amax, bmax, budget = _box_range(args)
     # The poset and path checks run first, so that their enumerations peak
     # before the audit objects are alive rather than on top of them.
     sperner = posetlab.max_antichain(4)
@@ -349,25 +341,18 @@ def _cmd_report(args) -> Result:
     counts = criteria.box_level_counts(amax, bmax, budget)
     grid = criteria.gaussian_grid(counts)
     calibrated = criteria.calibration_holds(counts)
-    audits = injectlab.audit_all(amax, bmax, budget=budget)
-    claims = [injectlab.check_claim(r) for r in audits]
     sections = {
         "gaussian": {
             "grid": grid,
             "calibration_selects_calibrated_rule_a_b_le_6": calibrated,
             "pass": criteria.gaussian_grid_holds(grid) and calibrated,
         },
-        "injections": {
-            "audits": [r.to_json_dict() for r in audits],
-            "claims": [c.to_json_dict() for c in claims],
-            "pass": criteria.injections_hold(audits, claims),
-        },
+        "injections": _injections(amax, bmax, tuple(injectlab.InjectionRule), budget),
         "posets": posets,
         "paths": paths,
         "shapes": shapes,
     }
     holds = all(s["pass"] for s in sections.values())
-    # The audit objects die with this frame, before main serialises.
     return {"amax": amax, "bmax": bmax, "sections": sections, "pass": holds}, holds
 
 
@@ -413,12 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amax", type=int, default=4)
     p.add_argument("--bmax", type=int, default=4)
     p.add_argument("--budget", type=int, default=injectlab.DEFAULT_ENUMERATION_BUDGET)
-    p.add_argument(
-        "--verify-claims",
-        action="store_true",
-        help="also replay the documented failure claims",
-    )
-    p.add_argument("--table", action="store_true", help="plain-text table output")
     p.set_defaults(handler=_cmd_injection_audit)
 
     p = sub.add_parser("sperner", help="largest antichain in the subset lattice")
@@ -489,9 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser.parse_args(argv)
         body, holds = args.handler(args)
-        if body is not None:
-            command = f"paths {args.paths_command}" if args.command == "paths" else args.command
-            _emit({"v": SCHEMA_VERSION, "command": command, **body}, getattr(args, "out", None))
+        command = f"paths {args.paths_command}" if args.command == "paths" else args.command
+        _emit({"v": SCHEMA_VERSION, "command": command, **body}, getattr(args, "out", None))
     except EnumerationBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,6 @@ import math
 from typing import Mapping, Optional
 
 from . import pathlab, polycore, posetlab, qgauss
-from .errors import PreconditionViolated
 from .injectlab import AuditOutcome, AuditReport, ClaimVerdict, InjectionRule, WitnessCheck
 from .polycore import IntPoly
 
@@ -36,9 +35,8 @@ def shift_identity_holds(f: IntPoly) -> bool:
 
     False, not an error, when the coefficients are negative or decrease.
     """
-    try:
-        weights = polycore.decompose_shift(f)
-    except PreconditionViolated:
+    weights = polycore.decompose_shift(f)
+    if weights is None:
         return False
     shifted = polycore.shift_by_one(f)
     total = IntPoly.zero()

@@ -13,10 +13,6 @@ class ZeroPolynomial(GausslabError):
     """Operation is undefined on the zero polynomial."""
 
 
-class PreconditionViolated(GausslabError):
-    """Input fails a documented precondition (e.g. coefficients decrease)."""
-
-
 class SlotOverflow(GausslabError):
     """A packed-integer product's coefficients did not fit their slots."""
 

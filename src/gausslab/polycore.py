@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import NonExactDivision, PreconditionViolated, ZeroPolynomial
+from .errors import NonExactDivision, ZeroPolynomial
 
 
 @dataclass(frozen=True)
@@ -596,17 +596,19 @@ def shift_by_one(f: PolyLike) -> IntPoly:
     return acc
 
 
-def decompose_shift(f: PolyLike) -> tuple[int, ...]:
-    """First-difference weights (a_0, a_1 - a_0, ..., a_n - a_{n-1}).
+def decompose_shift(f: PolyLike) -> tuple[int, ...] | None:
+    """First-difference weights (a_0, a_1 - a_0, ..., a_n - a_{n-1}), or None
+    when a coefficient of f is negative or smaller than the one before it.
 
     For nonnegative nondecreasing f these are the nonnegative weights in the
     exact identity X * f(X+1) = sum_k (a_k - a_{k-1}) * P_{n,k}(X) with
-    P from :func:`boros_moll_P`.  Any other f raises PreconditionViolated.
+    P from :func:`boros_moll_P`.
+
+    >>> decompose_shift([1, 1, 3])
+    (1, 0, 2)
+    >>> decompose_shift([2, 1]) is None
+    True
     """
     a = as_poly(f).coeffs
-    if a and a[0] < 0:
-        raise PreconditionViolated("negative coefficient at index 0")
-    for k in range(1, len(a)):
-        if a[k] < a[k - 1]:
-            raise PreconditionViolated(f"coefficients decrease at index {k}")
-    return tuple(a[k] - (a[k - 1] if k else 0) for k in range(len(a)))
+    weights = tuple(a[k] - (a[k - 1] if k else 0) for k in range(len(a)))
+    return weights if all(w >= 0 for w in weights) else None

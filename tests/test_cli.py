@@ -11,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -220,13 +221,10 @@ class TestInjectionAudit:
         assert box22["witnesses"] == [[1, 0]]
 
     def test_verify_claims(self, capsys):
-        code, out = run(
-            capsys,
-            "injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4",
-            "--verify-claims",
-        )
+        code, out = run(capsys, "injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4")
         assert code == 0
         doc = json.loads(out)
+        assert doc["pass"] is True
         claim44 = next(c for c in doc["claims"] if c["a"] == 4 and c["b"] == 4)
         assert claim44["verdict"] == "Confirmed"
         assert claim44["claimed_k"] == 6
@@ -234,7 +232,7 @@ class TestInjectionAudit:
 
     @pytest.mark.parametrize("argv, audits", [
         (["report", "--amax", "4", "--bmax", "4"], 64),
-        (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--verify-claims"], 16),
+        (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4"], 16),
     ])
     def test_each_box_is_audited_once(self, capsys, monkeypatch, argv, audits):
         calls = []
@@ -249,10 +247,31 @@ class TestInjectionAudit:
         assert code == 0
         assert len(calls) == len(set(calls)) == audits
 
-    def test_table_mode(self, capsys):
-        code, out = run(capsys, "injection-audit", "--rule", "4", "--amax", "2", "--bmax", "2", "--table")
+    @pytest.mark.parametrize("rule, amax, bmax", [("all", 4, 4), ("3", 5, 3)])
+    def test_matches_the_report_section(self, capsys, rule, amax, bmax):
+        box = ["--amax", str(amax), "--bmax", str(bmax)]
+        code, out = run(capsys, "injection-audit", "--rule", rule, *box)
         assert code == 0
-        assert "MaxWt" in out and "Undefined" in out
+        audited = json.loads(out)
+        code, out = run(capsys, "report", *box)
+        assert code == 0
+        section = json.loads(out)["sections"]["injections"]
+        if rule != "all":
+            # The report audits every rule; compare this rule's entries.
+            name = injectlab.RULE_BY_NUMBER[int(rule)].value
+            section = {
+                key: [entry for entry in section[key] if entry["rule"] == name]
+                if key != "pass" else value
+                for key, value in section.items()
+            }
+        assert {key: audited[key] for key in section} == section
+
+    @pytest.mark.parametrize("flag", ["--table", "--verify-claims"])
+    def test_the_removed_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["injection-audit", "--amax", "2", "--bmax", "2", flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestPosetCommands:
@@ -418,6 +437,17 @@ def _max_wt_side_one_verdicts_swapped(monkeypatch):
     monkeypatch.setattr(injectlab, "check_claim", swapped)
 
 
+def _max_wt_ties_broken_by_order(monkeypatch):
+    # MaxWt takes the first of its tied candidates instead of refusing to choose.
+    apply = injectlab.apply_rule
+
+    def first_of_ties(rule, p):
+        image = apply(rule, p)
+        return max(injectlab.increment_candidates(p), key=injectlab.wt) if image is None else image
+
+    monkeypatch.setattr(injectlab, "apply_rule", first_of_ties)
+
+
 def _stirling_row_with_a_dip(monkeypatch):
     row = posetlab.stirling_row
     monkeypatch.setattr(posetlab, "stirling_row", lambda n: [1, 0] + row(n))
@@ -477,6 +507,7 @@ class TestReportCanFail:
             ("injections", _max_wt_claim_one_level_up),
             ("injections", _row_fill_claim_untransposed),
             ("injections", _max_wt_side_one_verdicts_swapped),
+            ("injections", _max_wt_ties_broken_by_order),
             ("posets", _stirling_row_with_a_dip),
             ("paths", _closed_form_off_by_one),
             ("shapes", _boros_moll_P_one_index_low),
@@ -492,6 +523,11 @@ class TestReportCanFail:
         assert {name: s["pass"] for name, s in doc["sections"].items()} == {
             name: name != section for name in SECTIONS
         }
+        if section == "injections":
+            # injection-audit prints the same section, so the fault fails it too.
+            code, out = run(capsys, "injection-audit", "--amax", "3", "--bmax", "3")
+            assert code == 1
+            assert json.loads(out)["pass"] is False
 
     @pytest.mark.parametrize(
         "fault, key",
@@ -662,6 +698,8 @@ class TestSlotOverflowExitsTwo:
 
 # One invocation per subcommand and mode: the sha256 of stdout + stderr and the
 # exit code, as the CLI printed them before its handlers shared one output path.
+# The injection-audit entries date from when it began to print the injections
+# section of ``report``: its audits, the replayed claims and the verdict.
 GOLDEN = [
     (["gauss", "5", "3"], 0,
      "18d88997aaba130ec951e26ddc7f02f4ddd0e2dbd3a28aad7b08b831724cbdfd"),
@@ -698,13 +736,13 @@ GOLDEN = [
     (["check", "not-json"], 2,
      "26ed9b2a26473764f82e18a8da58c232a2cc19ae24e61f9fb079a264e820121e"),
     (["injection-audit", "--amax", "3", "--bmax", "3"], 0,
-     "bccb19fd29c7fd20df3236b28eacbc613a70829be2c2b96c7b9206b76d888147"),
-    (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--verify-claims"], 0,
-     "7750d72f2ca93988aae4a8d46a59c697a70707b1454ae4f73a4a50da24b3d874"),
-    (["injection-audit", "--amax", "3", "--bmax", "3", "--table"], 0,
-     "25a13d7e0aed141cf0d5c930bb019c8b91291cb61d2822bb63ff2e2a7b3ff6cf"),
-    (["injection-audit", "--amax", "4", "--bmax", "4", "--verify-claims", "--table"], 0,
-     "77d46ade49dfa859157e8efdcb37af1df8741b2a9dd65b798949a068c695aa59"),
+     "0b162f7fcf5fd6da05ea4656b89c50c41d67f19448a1d235dec37e3d2f99f5a6"),
+    (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4"], 0,
+     "f8b1052ee68a710eccdba54e9fa57aa4c5802c8ab02c2f0bea9faf0e9144950d"),
+    (["injection-audit", "--rule", "3", "--amax", "5", "--bmax", "3"], 0,
+     "6ac450f740f990708d393a65af174a270ef97d152a31a5063b2122092143782b"),
+    (["injection-audit", "--amax", "13", "--bmax", "13"], 3,
+     "dcdbd81ec793b3b6ebf0015c9cf0f7205ee0a7eb5bc4fb29f29522fabc88c561"),
     (["sperner", "5"], 0,
      "6d14095e3f2e8519c67245a655c6903ad261fcf05cc83b37fbcc0f13d30cf167"),
     (["sperner", "4", "--exhaustive"], 0,
@@ -928,6 +966,35 @@ class TestExitTwo:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("budget exceeded: ")
 
+    @pytest.mark.parametrize("command", ["report", "injection-audit"])
+    def test_an_over_budget_range_is_refused_before_any_work(self, capsys, monkeypatch, command):
+        # The 13x13 box holds C(26, 13) = 10,400,600 partitions, past the default
+        # budget; every smaller box is within it, so one box at a time ran them all.
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            raise _Built
+
+        monkeypatch.setattr(qgauss, "level_counts", spy)
+        monkeypatch.setattr(injectlab, "audit", spy)
+        start = time.perf_counter()
+        assert main([command, "--amax", "13", "--bmax", "13"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert built == []
+        assert capsys.readouterr() == (
+            "",
+            "budget exceeded: box (13,13) holds C(26,13) = 10400600 partitions"
+            " > budget 10000000\n",
+        )
+
+    @pytest.mark.parametrize("command", ["report", "injection-audit"])
+    def test_the_largest_box_is_held_to_the_budget(self, capsys, command):
+        argv = [command, "--amax", "3", "--bmax", "3", "--budget"]
+        assert main(argv + ["19"]) == 3  # C(6, 3) = 20
+        assert main(argv + ["20"]) == 0
+        capsys.readouterr()
+
 
 def _argv(*parts):
     """Concatenate fixed words and strategies that draw lists of words."""
@@ -964,7 +1031,7 @@ ARGVS = st.one_of(
     _argv("check", _json(_COEFFS), _flag("--center"), _opt("--unimodal"), _opt("--log-concave"),
           _opt("--palindromic"), _opt("--gamma"), _opt("--real-rooted")),
     _argv("injection-audit", _RULE, _flag("--amax", hi=3), _flag("--bmax", hi=3),
-          _opt("--verify-claims"), _opt("--table"), _flag("--budget", hi=200)),
+          _flag("--budget", hi=200)),
     _argv("sperner", _n(), _opt("--exhaustive")),
     _argv("lym", _n(), _json(_FAMILY)),
     _argv("bruhat", _n()),
@@ -1003,9 +1070,6 @@ class TestFuzzedContract:
             assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
             return
         assert err.getvalue() == ""
-        if "--table" in argv:
-            assert code == 0 and out.getvalue()
-            return
         doc = json.loads(out.getvalue())  # exactly one JSON document
         if code == 1:
             assert any(leaf is False for leaf in _leaves(doc))

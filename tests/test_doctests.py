@@ -4,12 +4,15 @@ import doctest
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import gausslab
+from gausslab import cli
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gausslab.__path__, "gausslab."))
 
 
@@ -29,7 +32,20 @@ def test_the_examples_are_found():
 
 
 def test_readme_quick_tour_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.DOTALL)
     assert tour, "README has no Library quick tour python block"
     exec(compile(tour.group(1), "README.md quick tour", "exec"), {})
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # In a scratch directory, since the ``report --out`` example writes a file.
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    assert block, "README has no CLI sh block"
+    lines = [line for line in block.group(1).splitlines() if line.startswith("gausslab ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.main(argv) == (1 if "# exit 1" in line else 0), line
+    capsys.readouterr()

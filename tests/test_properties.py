@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausslab.errors import NonExactDivision, PreconditionViolated
+from gausslab.errors import NonExactDivision
 from gausslab.polycore import (
     IntPoly,
     binomial_power,
@@ -367,15 +367,13 @@ nondecreasing_lists = st.lists(st.integers(0, 20), max_size=8).map(lambda s: lis
 @given(st.one_of(coeff_lists, nondecreasing_lists))
 def test_decompose_shift_weights_are_nonnegative(coeffs):
     # criteria.shift_identity_holds does not re-check the weights: whenever
-    # decompose_shift returns, they are nonnegative, and it returns on every
-    # nonnegative nondecreasing input.
-    nondecreasing = all(0 <= x <= y for x, y in zip([0] + coeffs, coeffs))
-    try:
-        weights = decompose_shift(IntPoly(coeffs))
-    except PreconditionViolated:
-        assert not nondecreasing
-        return
-    assert all(w >= 0 for w in weights)
+    # decompose_shift returns weights, they are nonnegative, and it returns
+    # them on every nonnegative nondecreasing input and on no other.
+    a = IntPoly(coeffs).coeffs
+    nondecreasing = all(0 <= x <= y for x, y in zip((0,) + a, a))
+    weights = decompose_shift(a)
+    assert (weights is not None) == nondecreasing
+    assert weights is None or all(w >= 0 for w in weights)
 
 
 # -- darga arithmetic ---------------------------------------------------------------
