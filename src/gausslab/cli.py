@@ -4,23 +4,22 @@ All subcommands are thin adapters over the library; no combinatorial logic
 lives here.  Output JSON is deterministic (stable key order, big integers as
 decimal strings, no timestamps), so identical invocations are byte-identical.
 
-Each handler returns its JSON fields and whether its checked property holds.
-``main`` alone adds the ``v`` and ``command`` fields, writes the one JSON
-document to stdout or ``--out``, and picks the exit code: 0 the property
-holds, 1 it is false, 2 a usage, domain or output error, 3 enumeration budget
-exceeded, which ``report`` and ``injection-audit`` check on their largest box
-before any work.  Both print one injections section and fail on its verdict.
-Exit 2 covers an empty box range (``--amax`` or ``--bmax`` < 1), a
-``--budget`` < 0, ``stirling n`` with n < 1, ``lym n`` with n < 0, an n above
-the cap of ``sperner``, ``stirling``, ``eulerian`` or ``paths sagan``, a JSON
-argument that is malformed or nested too deeply to parse, ``check`` of the zero
-polynomial, and an ``--out`` file that cannot be written.
+Each handler returns its JSON fields and whether its checked property holds;
+``main`` alone writes the one JSON document, with ``v`` and ``command``, to stdout
+or ``--out`` and picks the exit code: 0 the property holds, 1 it is false, 2 a
+usage, domain or output error, 3 a predicted size past its limit, refused before
+any handler runs (``_admit``).  ``report`` and ``injection-audit`` print one
+injections section and fail on its verdict.  Exit 2 covers an empty box range, a
+``--budget`` < 0, ``stirling n`` and ``bruhat n`` with n < 1, ``lym n`` with n < 0,
+malformed or too deeply nested JSON, ``check`` of the zero polynomial, and an
+``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys
@@ -34,25 +33,6 @@ SCHEMA_VERSION = 1
 
 # What a handler returns: its JSON fields and whether its checked property holds.
 Result = tuple[dict, bool]
-
-# The bound C(n, ceil(n/2)) has about 0.3 n decimal digits, and CPython prints
-# them in time quadratic in n, so `sperner` refuses larger n before computing it.
-SPERNER_MAX_N = 100_000
-# The other one-number commands have no cheaper shortcut, so each refuses n past
-# the point where one call takes seconds (CPython 3.11 on one x86-64 machine):
-# `stirling 2000` takes 2.5 s against 0.56 s at 1,000; the Sturm count of
-# `eulerian` takes 4.8 s at n = 35 and 13 s at n = 40; `paths sagan 10000 10000`
-# takes 32 s and 183 MiB against 0.41 s at 2,000.
-STIRLING_MAX_N = 1_000
-EULERIAN_MAX_N = 30
-SAGAN_MAX_N = 2_000
-
-
-def _capped(n: int, cap: int) -> int:
-    """``n``, refused as a usage error past ``cap`` before any work is done."""
-    if n > cap:
-        raise ValueError(f"need n <= {cap}")
-    return n
 
 
 def _file_mode(path: str) -> int:
@@ -103,23 +83,15 @@ def _parse_coeffs(text: str) -> IntPoly:
 # -- gauss -----------------------------------------------------------------------
 
 
-def _budget(args) -> int:
-    """``--budget``, which must be >= 0: 0 is a budget every box exceeds."""
-    if args.budget < 0:
-        raise ValueError(f"need --budget >= 0, got {args.budget}")
-    return args.budget
-
-
 def _cmd_gauss(args) -> Result:
     a, b = args.a, args.b
-    budget = _budget(args)
     body = {"a": a, "b": b, "method": args.method}
     if args.method == "quotient":
         poly = qgauss.gaussian_quotient(a, b)
     elif args.method == "pascal":
         poly = qgauss.gaussian_pascal(a, b)
     elif args.method == "enum":
-        poly = IntPoly(qgauss.level_counts(a, b, budget))
+        poly = IntPoly(qgauss.level_counts(a, b))
     else:
         poly, terms = qgauss.koh_sum(a, b, qgauss.KOH_RULES[args.koh_rule])
         body["rule"] = args.koh_rule
@@ -169,21 +141,18 @@ def _cmd_check(args) -> Result:
 # -- injection audits --------------------------------------------------------------
 
 
-def _box_range(args) -> tuple[int, int, int]:
-    """``--amax``, ``--bmax`` and ``--budget``, refused before any work if the range
-    is empty or its largest box is over budget (no smaller box holds more)."""
+def _box_range(args) -> tuple[int, int]:
+    """``--amax`` and ``--bmax``, refused if the range is empty."""
     if args.amax < 1 or args.bmax < 1:
         raise ValueError(f"need --amax and --bmax >= 1, got {args.amax} and {args.bmax}")
-    budget = _budget(args)
-    injectlab._check_budget(args.amax, args.bmax, budget)
-    return args.amax, args.bmax, budget
+    return args.amax, args.bmax
 
 
-def _injections(amax: int, bmax: int, rules: tuple, budget: int) -> dict:
+def _injections(amax: int, bmax: int, rules: tuple) -> dict:
     """The injections section of ``report`` and ``injection-audit``: each rule's
     audit of every box in range, the documented claim replayed on each audit,
     and the verdict over both."""
-    audits = injectlab.audit_all(amax, bmax, rules, budget)
+    audits = injectlab.audit_all(amax, bmax, rules)
     claims = [injectlab.check_claim(r) for r in audits]
     return {
         "audits": [r.to_json_dict() for r in audits],
@@ -193,12 +162,12 @@ def _injections(amax: int, bmax: int, rules: tuple, budget: int) -> dict:
 
 
 def _cmd_injection_audit(args) -> Result:
-    amax, bmax, budget = _box_range(args)
+    amax, bmax = _box_range(args)
     if args.rule == "all":
         rules = tuple(injectlab.InjectionRule)
     else:
         rules = (injectlab.RULE_BY_NUMBER[int(args.rule)],)
-    section = _injections(amax, bmax, rules, budget)
+    section = _injections(amax, bmax, rules)
     return {"amax": amax, "bmax": bmax, **section}, section["pass"]
 
 
@@ -214,7 +183,7 @@ def _antichain_summary(search: posetlab.SpernerSearch) -> dict:
 
 
 def _cmd_sperner(args) -> Result:
-    n = _capped(args.n, SPERNER_MAX_N)
+    n = args.n
     # C(n, floor(n/2)) = C(n, ceil(n/2)): both middle layers have the bound's size.
     bound = str(posetlab.sperner_bound(n))
     body = {"n": n, "bound": bound, "middle_layer_sizes": [bound, bound]}
@@ -255,14 +224,14 @@ def _cmd_bruhat(args) -> Result:
 
 
 def _cmd_stirling(args) -> Result:
-    row = posetlab.stirling_row(_capped(args.n, STIRLING_MAX_N))
+    row = posetlab.stirling_row(args.n)
     unimodal = polycore.is_unimodal(IntPoly(row))
     body = {"n": args.n, "row": [str(c) for c in row], "unimodal": unimodal, "bell": str(sum(row))}
     return body, unimodal
 
 
 def _cmd_eulerian(args) -> Result:
-    poly = posetlab.eulerian(_capped(args.n, EULERIAN_MAX_N))
+    poly = posetlab.eulerian(args.n)
     checks = criteria.eulerian_checks(poly, args.n)
     return {"n": args.n, "coeffs": poly.to_json(), "checks": checks}, all(checks.values())
 
@@ -303,7 +272,7 @@ def _cmd_paths_monotone(args) -> Result:
 
 
 def _cmd_paths_sagan(args) -> Result:
-    seq = pathlab.sagan_sequence(_capped(args.n, SAGAN_MAX_N), args.k)
+    seq = pathlab.sagan_sequence(args.n, args.k)
     unimodal = polycore.is_unimodal(IntPoly(seq))
     body = {"n": args.n, "k": args.k, "sequence": [str(c) for c in seq], "unimodal": unimodal}
     return body, unimodal
@@ -313,7 +282,7 @@ def _cmd_paths_sagan(args) -> Result:
 
 
 def _cmd_report(args) -> Result:
-    amax, bmax, budget = _box_range(args)
+    amax, bmax = _box_range(args)
     # The poset and path checks run first, so that their enumerations peak
     # before the audit objects are alive rather than on top of them.
     sperner = posetlab.max_antichain(4)
@@ -338,7 +307,7 @@ def _cmd_report(args) -> Result:
         "shift_identity_weight_families_m_le_8": criteria.weight_families_shift_hold(8),
     }
     shapes["pass"] = all(shapes.values())
-    counts = criteria.box_level_counts(amax, bmax, budget)
+    counts = criteria.box_level_counts(amax, bmax)
     grid = criteria.gaussian_grid(counts)
     calibrated = criteria.calibration_holds(counts)
     sections = {
@@ -347,13 +316,103 @@ def _cmd_report(args) -> Result:
             "calibration_selects_calibrated_rule_a_b_le_6": calibrated,
             "pass": criteria.gaussian_grid_holds(grid) and calibrated,
         },
-        "injections": _injections(amax, bmax, tuple(injectlab.InjectionRule), budget),
+        "injections": _injections(amax, bmax, tuple(injectlab.InjectionRule)),
         "posets": posets,
         "paths": paths,
         "shapes": shapes,
     }
     holds = all(s["pass"] for s in sections.values())
     return {"amax": amax, "bmax": bmax, "sections": sections, "pass": holds}, holds
+
+
+# -- admission ---------------------------------------------------------------------------
+#
+# ``main`` predicts from the arguments alone the size of what a command will
+# build and refuses it, exit 3, past its limit, before any handler runs.  The
+# predictions are closed forms with early exits, so refusals are cheap; an
+# argument outside its domain (a negative side, k > n) costs nothing here and is
+# left to its handler's exit 2.  Each limit sits where one call takes seconds at
+# most (CPython 3.11 on one x86-64 machine): stirling 2000 takes 2.5 s, eulerian
+# 35 4.8 s, paths sagan 10000 32 s and the exhaustive antichain search 122 s at
+# n = 6; sperner prints C(n, n/2) in time quadratic in n; bruhat builds n! and
+# paths fab about n^3 / 3 walk-table entries; paths monotone builds C(n, k) + C(n, k+1)
+# paths of n + 1 vertices, at most as many as at n = 14, k = 6.  A gauss route may
+# cost no more than at its anchor box: quotient 300x300 takes 6 s, pascal 150x150
+# 4.4 s, koh 25x25 1.1 s and enum 11x11 0.2 s.  --budget counts the parts of every
+# box in range, a per partition of an a-by-b box: 115,149,423 up to 12x12.
+DEFAULT_BUDGET = 150_000_000
+N_LIMITS = {"sperner": 100_000, "sperner --exhaustive": 5, "stirling": 1_000,
+            "eulerian": 30, "bruhat": 8, "paths fab": 18, "paths sagan": 2_000}
+GAUSS_ANCHORS = {"quotient": (300, 300), "pascal": (150, 150), "enum": (11, 11), "koh": (25, 25)}
+
+
+def _comb(n: int, k: int, cap) -> int:
+    """C(n, k), or a number past ``cap`` once C(n - k + i, i) is, i <= min(k, n - k):
+    each step at least doubles it, so the loop is short."""
+    c, k = int(0 <= k <= n), min(k, n - k)
+    for i in range(1, k + 1 if c else 0):
+        c = c * (n - k + i) // i
+        if c > cap:
+            break
+    return c
+
+
+def _box_parts(amax: int, bmax: int, cap) -> int:
+    """Parts of the partitions of every box up to (amax, bmax), a C(a+b, a) a box:
+    sum_a a (C(a+bmax+1, a+1) - 1), largest a first, stopped once past ``cap``."""
+    total = 0
+    for a in range(amax if bmax > 0 else 0, 0, -1):
+        total += a * (_comb(a + bmax + 1, a + 1, cap + 1) - 1)
+        if total > cap:
+            break
+    return total
+
+
+def _gauss_cost(method: str, a: int, b: int, cap) -> tuple[int, ...]:
+    """The (work, memory) of a gauss route on the (a, b) box, each up to a constant factor."""
+    a, b = max(a, 0), max(b, 0)
+    # Bits of C(a+b, a), which bounds every coefficient: C(n, m) <= min(2^n, n^m).
+    bits = min(a + b, min(a, b) * (a + b).bit_length())
+    coeff, slot = 10 + bits // 30, 1 + bits // 8  # a Python int, in 4-byte words; a packed slot
+    if method == "quotient":  # step i of b: (a + 1) i coefficients and i list slices
+        return b * (b + 1) * (48 + (a + 1) * coeff), ((a + 1) * b + 1) * coeff
+    if method == "pascal":  # b passes over a + 1 packed ints, 48 bytes as objects
+        row = b * a * (a + 1) // 2 + a + 1  # slots held: cell k holds k b + 1
+        return row * (b + 1) * slot + 48 * (a + 1) * (b + 1), row * slot + 48 * (a + 1)
+    if method == "enum":  # a words a partition, and a weight tally of ab + 1 entries
+        return (a * _comb(a + b, a, cap) + 16 * (a * b + 1),)
+    # koh: p(b) < e^(pi sqrt(2b/3)) / b^(3/4) terms (past any limit by b = 10^6) of degree
+    # at most d (ab, or b^2 by the stated rule), from q-Pascal rows of at most d slots a side.
+    d, m = max(a, b) * b, min(b, 10**6)
+    terms = math.ceil(math.exp(min(math.pi * math.sqrt(2 * m / 3), 99)) / max(m, 1) ** 0.75)
+    return terms * (8 * b + d * d * slot), d * d * slot
+
+
+GAUSS_LIMITS = {m: _gauss_cost(m, a, b, math.inf) for m, (a, b) in GAUSS_ANCHORS.items()}
+
+
+def _admit(args, command: str) -> None:
+    """Refuse ``command`` if a predicted size is past its limit."""
+    if command in ("report", "injection-audit"):
+        if args.budget < 0:
+            raise ValueError(f"need --budget >= 0, got {args.budget}")
+        what = f"at most {args.budget} parts (--budget)"
+        bounds = [(_box_parts(args.amax, args.bmax, args.budget), args.budget, what)]
+    elif command == "gauss":
+        limits, (a, b) = GAUSS_LIMITS[args.method], GAUSS_ANCHORS[args.method]
+        what = f"--method {args.method} to cost no more than at {a}x{b}"
+        sizes = _gauss_cost(args.method, args.a, args.b, max(limits))
+        bounds = [(size, limit, what) for size, limit in zip(sizes, limits)]
+    elif command == "paths monotone":
+        paths = _comb(args.n, args.k, 96_525) + _comb(args.n, args.k + 1, 96_525)
+        bounds = [(paths * (args.n + 1), 96_525, "at most 96525 path vertices")]
+    else:
+        command += " --exhaustive" if getattr(args, "exhaustive", False) else ""
+        limit = N_LIMITS.get(command)
+        bounds = [(args.n, limit, f"n <= {limit}")] if limit else []
+    for size, limit, what in bounds:
+        if size > limit:
+            raise EnumerationBudgetExceeded(f"{command} needs {what}")
 
 
 # -- parser ---------------------------------------------------------------------------------
@@ -365,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for Gaussian polynomials, posets, and lattice paths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget_help = "most parts held by the partitions of every box in range (>= 0)"
 
     p = sub.add_parser("gauss", help="Gaussian polynomial coefficients by any route")
     p.add_argument("a", type=int)
@@ -374,13 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--koh-rule", choices=list(qgauss.KOH_RULES), default="calibrated")
     p.add_argument("--terms", action="store_true", help="dump the per-term breakdown")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=injectlab.DEFAULT_ENUMERATION_BUDGET,
-        help="most box partitions to enumerate (>= 0); only --method enum obeys it, "
-        "the other routes check it and ignore it",
-    )
     p.set_defaults(handler=_cmd_gauss)
 
     p = sub.add_parser("check", help="coefficient-shape checks for a polynomial")
@@ -397,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=["all", "1", "2", "3", "4"], default="all")
     p.add_argument("--amax", type=int, default=4)
     p.add_argument("--bmax", type=int, default=4)
-    p.add_argument("--budget", type=int, default=injectlab.DEFAULT_ENUMERATION_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
     p.set_defaults(handler=_cmd_injection_audit)
 
     p = sub.add_parser("sperner", help="largest antichain in the subset lattice")
@@ -443,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full verification run as one JSON document")
     p.add_argument("--amax", type=int, default=6)
     p.add_argument("--bmax", type=int, default=6)
-    p.add_argument("--budget", type=int, default=injectlab.DEFAULT_ENUMERATION_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
     p.add_argument("--out", default=None, help="write atomically to this file")
     p.set_defaults(handler=_cmd_report)
 
@@ -467,8 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     set_limit(0)
     try:
         args = _parser.parse_args(argv)
-        body, holds = args.handler(args)
         command = f"paths {args.paths_command}" if args.command == "paths" else args.command
+        _admit(args, command)
+        body, holds = args.handler(args)
         _emit({"v": SCHEMA_VERSION, "command": command, **body}, getattr(args, "out", None))
     except EnumerationBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ the weight families) owns them.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import pathlab, polycore, posetlab, qgauss
 from .injectlab import AuditOutcome, AuditReport, ClaimVerdict, InjectionRule, WitnessCheck
@@ -65,13 +65,11 @@ def weight_families_shift_hold(mmax: int) -> bool:
     )
 
 
-def box_level_counts(
-    amax: int, bmax: int, budget: Optional[int]
-) -> dict[tuple[int, int], list[int]]:
+def box_level_counts(amax: int, bmax: int) -> dict[tuple[int, int], list[int]]:
     """``qgauss.level_counts`` of every box 1 <= a <= amax, 1 <= b <= bmax, keyed by
     (a, b): the one enumeration of each box that the grid and the calibration share."""
     return {
-        (a, b): qgauss.level_counts(a, b, budget)
+        (a, b): qgauss.level_counts(a, b)
         for a in range(1, amax + 1)
         for b in range(1, bmax + 1)
     }

@@ -18,7 +18,7 @@ class SlotOverflow(GausslabError):
 
 
 class EnumerationBudgetExceeded(GausslabError):
-    """Requested enumeration is larger than the configured budget."""
+    """A command's predicted size is past its limit (``cli._admit``, exit 3)."""
 
 
 class NoSuccessor(GausslabError):

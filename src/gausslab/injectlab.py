@@ -9,13 +9,10 @@ or undefined input below the middle level.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import EnumerationBudgetExceeded, NoSuccessor
-
-DEFAULT_ENUMERATION_BUDGET = 10**7
+from .errors import NoSuccessor
 
 
 @dataclass(frozen=True)
@@ -55,17 +52,6 @@ class BoxedPartition:
         return BoxedPartition(tuple(parts), self.box)
 
 
-def _check_budget(a: int, b: int, budget: Optional[int]) -> None:
-    """None is no limit; a negative budget is a usage error, not one every box exceeds."""
-    if budget is not None and budget < 0:
-        raise ValueError(f"need budget >= 0, got {budget}")
-    if budget is not None and math.comb(a + b, a) > budget:
-        raise EnumerationBudgetExceeded(
-            f"box ({a},{b}) holds C({a + b},{a}) = {math.comb(a + b, a)} partitions"
-            f" > budget {budget}"
-        )
-
-
 def iter_box(a: int, b: int) -> Iterator[tuple[int, ...]]:
     """All part tuples for the (a, b) box in ascending lexicographic order.
 
@@ -85,23 +71,18 @@ def iter_box(a: int, b: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], b, a)
 
 
-def enumerate_box(
-    a: int, b: int, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
-) -> list[BoxedPartition]:
+def enumerate_box(a: int, b: int) -> list[BoxedPartition]:
     """Complete, duplicate-free, lexicographically ordered box contents."""
     if a < 1 or b < 1:
         raise ValueError("box sides must be positive")
-    _check_budget(a, b, budget)
     box = (a, b)
     return [BoxedPartition(parts, box) for parts in iter_box(a, b)]
 
 
-def levels(
-    a: int, b: int, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
-) -> list[list[BoxedPartition]]:
+def levels(a: int, b: int) -> list[list[BoxedPartition]]:
     """All levels at once (one box enumeration, bucketed by weight)."""
     buckets: list[list[BoxedPartition]] = [[] for _ in range(a * b + 1)]
-    for p in enumerate_box(a, b, budget):
+    for p in enumerate_box(a, b):
         buckets[p.weight].append(p)
     return buckets
 
@@ -243,12 +224,7 @@ class AuditReport:
         }
 
 
-def audit(
-    rule: InjectionRule,
-    a: int,
-    b: int,
-    budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET,
-) -> AuditReport:
+def audit(rule: InjectionRule, a: int, b: int) -> AuditReport:
     """Scan levels 0 .. floor(ab/2)-1 in order; report the first failure.
 
     Within a level, partitions are visited in lexicographic order, so the
@@ -256,7 +232,7 @@ def audit(
     """
     box = (a, b)
     middle = (a * b) // 2
-    by_level = levels(a, b, budget)
+    by_level = levels(a, b)
     for k in range(middle):
         seen: dict[tuple[int, ...], BoxedPartition] = {}
         for p in by_level[k]:
@@ -289,13 +265,10 @@ def audit(
 
 
 def audit_all(
-    max_a: int = 6,
-    max_b: int = 6,
-    rules: tuple[InjectionRule, ...] = tuple(InjectionRule),
-    budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET,
+    max_a: int = 6, max_b: int = 6, rules: tuple[InjectionRule, ...] = tuple(InjectionRule)
 ) -> list[AuditReport]:
     return [
-        audit(rule, a, b, budget)
+        audit(rule, a, b)
         for rule in rules
         for a in range(1, max_a + 1)
         for b in range(1, max_b + 1)

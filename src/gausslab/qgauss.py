@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
-from . import injectlab
 from .errors import SlotOverflow
 from .polycore import (
     IntPoly,
@@ -116,21 +115,17 @@ def gaussian_pascal(a: int, b: int) -> IntPoly:
     return IntPoly(_unpack_checked(_pascal_packed(a, b, nb), nb, total, f"G({a},{b})"))
 
 
-def level_counts(
-    a: int, b: int, budget: Optional[int] = injectlab.DEFAULT_ENUMERATION_BUDGET
-) -> list[int]:
+def level_counts(a: int, b: int) -> list[int]:
     """(c_0, ..., c_ab): partitions in the (a, b) box counted by weight.
 
     Computed by direct enumeration; equals the coefficient sequence of
     gaussian_quotient(a, b) and is palindromic.  A partition in the box is a
     multiset of a parts from 0..b, so ``combinations_with_replacement`` walks
     the box on one reused tuple and ``Counter`` tallies the weights, both at
-    C level; the tally needs no order.  The budget is checked before anything
-    is enumerated.
+    C level; the tally needs no order.
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
-    injectlab._check_budget(a, b, budget)
     weights = Counter(map(sum, combinations_with_replacement(range(b + 1), a)))
     return [weights[k] for k in range(a * b + 1)]
 

@@ -34,9 +34,7 @@ def test_criterion_01_g22_shape():
 
 def test_criterion_02_four_way_agreement():
     def body():
-        grid = criteria.gaussian_grid(
-            criteria.box_level_counts(10, 10, injectlab.DEFAULT_ENUMERATION_BUDGET)
-        )
+        grid = criteria.gaussian_grid(criteria.box_level_counts(10, 10))
         assert len(grid) == 100
         # Besides route agreement, the printed argument rule reproduces the
         # polynomial exactly on the diagonal (where its leading factor
@@ -50,9 +48,7 @@ def test_criterion_02_four_way_agreement():
 
 def test_criterion_03_gaussian_unimodal_darga():
     def body():
-        grid = criteria.gaussian_grid(
-            criteria.box_level_counts(8, 8, injectlab.DEFAULT_ENUMERATION_BUDGET)
-        )
+        grid = criteria.gaussian_grid(criteria.box_level_counts(8, 8))
         assert criteria.gaussian_grid_holds(grid), grid
 
     _criterion(3, "G(a,b) unimodal and symmetric with darga ab for a,b <= 8", 30.0, body)

@@ -90,9 +90,11 @@ class TestGauss:
         assert "error:" in capsys.readouterr().err
 
     def test_budget_exit_code(self, capsys):
-        code = main(["gauss", "12", "12", "--method", "enum", "--budget", "100"])
-        capsys.readouterr()
-        assert code == 3
+        # gauss has no --budget: every route is bounded by the admission step.
+        with pytest.raises(SystemExit) as err:
+            main(["gauss", "12", "12", "--method", "enum", "--budget", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -699,7 +701,10 @@ class TestSlotOverflowExitsTwo:
 # One invocation per subcommand and mode: the sha256 of stdout + stderr and the
 # exit code, as the CLI printed them before its handlers shared one output path.
 # The injection-audit entries date from when it began to print the injections
-# section of ``report``: its audits, the replayed claims and the verdict.
+# section of ``report``: its audits, the replayed claims and the verdict.  The
+# three exit-3 entries date from the admission step, which words every refusal
+# as "<command> needs <limit>"; `gauss` lost its --budget then, so its exit-3
+# entry is a box past the enum route's limit.
 GOLDEN = [
     (["gauss", "5", "3"], 0,
      "18d88997aaba130ec951e26ddc7f02f4ddd0e2dbd3a28aad7b08b831724cbdfd"),
@@ -715,8 +720,8 @@ GOLDEN = [
      "a65226b292cc0b70960e23df60236acd11270f48a0eabee98c766b33c854c5d5"),
     (["gauss", "-1", "3"], 2,
      "347b3488a601d070a39770f2d266953a5566accb5cafce85556fb77cb41a5d7d"),
-    (["gauss", "12", "12", "--method", "enum", "--budget", "100"], 3,
-     "327933288041d61d07801f8501b0ad522470005d40711bcceef33aedc4e3b157"),
+    (["gauss", "12", "12", "--method", "enum"], 3,
+     "38b154964a655b772e95653b360d6eee7e3a1e1a9aadbf604b837d413f2e875e"),
     (["check", '["1","3","5","3","1"]'], 1,
      "a284e1eda75eca92f5c15dc6088bef63a91e8ba282c29d4767e42bcb7eb2753f"),
     (["check", '["1","3","5","3","1"]', "--unimodal"], 0,
@@ -742,13 +747,13 @@ GOLDEN = [
     (["injection-audit", "--rule", "3", "--amax", "5", "--bmax", "3"], 0,
      "6ac450f740f990708d393a65af174a270ef97d152a31a5063b2122092143782b"),
     (["injection-audit", "--amax", "13", "--bmax", "13"], 3,
-     "dcdbd81ec793b3b6ebf0015c9cf0f7205ee0a7eb5bc4fb29f29522fabc88c561"),
+     "4d621488588ec580535b4792f417fe90a90c0e8c7801a64d570be0d448a3702b"),
     (["sperner", "5"], 0,
      "6d14095e3f2e8519c67245a655c6903ad261fcf05cc83b37fbcc0f13d30cf167"),
     (["sperner", "4", "--exhaustive"], 0,
      "43aee2820ba5df16c47e503ff330f32973d9f078b098a24b4f98b7b532de96ee"),
     (["sperner", "6", "--exhaustive"], 3,
-     "cb2a259611f570864698c2f1e01738dfe0429444ac50f2fc0c945e3814a4b5dd"),
+     "d62c2f5714446d0dc6270cd1c9c97cd0df28908f17ff67036afb0d93cdca11bd"),
     (["lym", "3", "[[1,2],[3]]"], 0,
      "354751c10d962ff15dbe9eeee65e6b4664147ed5b886397fdab3916bf3739391"),
     (["lym", "4", "[[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]"], 0,
@@ -897,10 +902,10 @@ class TestExitTwo:
             ["stirling", "0"],
             ["stirling", "-3"],
             ["lym", "-1", "[]"],
-            ["gauss", "3", "3", "--method", "quotient", "--budget", "-1"],
-            ["gauss", "3", "3", "--method", "pascal", "--budget", "-1"],
-            ["gauss", "3", "3", "--method", "enum", "--budget", "-1"],
-            ["gauss", "3", "3", "--method", "koh", "--budget", "-1"],
+            ["bruhat", "0"],
+            ["paths", "fab", "1", "1", "0"],
+            ["paths", "monotone", "4", "2"],
+            ["paths", "sagan", "3", "4"],
             ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "-1"],
             ["report", "--amax", "1", "--bmax", "1", "--budget", "-5"],
         ],
@@ -914,17 +919,23 @@ class TestExitTwo:
     def test_sperner_past_its_cap(self, capsys, monkeypatch):
         # Refused before the bound is computed, let alone printed.
         monkeypatch.setattr(posetlab, "sperner_bound", None)
-        assert main(["sperner", str(cli.SPERNER_MAX_N + 1)]) == 2
+        assert main(["sperner", str(cli.N_LIMITS["sperner"] + 1)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: need n <= {cli.SPERNER_MAX_N}\n"
+        assert captured.err == "budget exceeded: sperner needs n <= 100000\n"
 
     @pytest.mark.parametrize(
         "argv, module, builder, cap",
         [
-            (lambda n: ["stirling", n], posetlab, "stirling_row", cli.STIRLING_MAX_N),
-            (lambda n: ["eulerian", n], posetlab, "eulerian", cli.EULERIAN_MAX_N),
-            (lambda n: ["paths", "sagan", n, "1"], pathlab, "sagan_sequence", cli.SAGAN_MAX_N),
+            (lambda n: ["stirling", n], posetlab, "stirling_row", cli.N_LIMITS["stirling"]),
+            (lambda n: ["eulerian", n], posetlab, "eulerian", cli.N_LIMITS["eulerian"]),
+            (lambda n: ["paths", "sagan", n, "1"], pathlab, "sagan_sequence",
+             cli.N_LIMITS["paths sagan"]),
+            (lambda n: ["bruhat", n], posetlab, "weak_bruhat", cli.N_LIMITS["bruhat"]),
+            (lambda n: ["sperner", n, "--exhaustive"], posetlab, "max_antichain",
+             cli.N_LIMITS["sperner --exhaustive"]),
+            (lambda n: ["paths", "fab", "1", "1", n], pathlab, "count_free",
+             cli.N_LIMITS["paths fab"]),
         ],
     )
     def test_one_number_commands_past_their_caps(
@@ -933,18 +944,20 @@ class TestExitTwo:
         # A spy in place of the builder: never called past the cap, called at it.
         built = []
 
-        def spy(n, *rest):
-            built.append(n)
+        def spy(*args):
+            built.append(args)
             raise _Built
 
         monkeypatch.setattr(module, builder, spy)
-        assert main(argv(str(cap + 1))) == 2
+        assert main(argv(str(cap + 1))) == 3
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: need n <= {cap}\n")
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: ")
+        assert captured.err.endswith(f" needs n <= {cap}\n")
         assert built == []
         with pytest.raises(_Built):
             main(argv(str(cap)))
-        assert built == [cap]
+        assert len(built) == 1 and cap in built[0]
 
     @pytest.mark.parametrize("argv", [["check", _DEEP_JSON], ["lym", "3", _DEEP_JSON]])
     def test_json_nested_too_deeply_to_parse(self, capsys, argv):
@@ -957,7 +970,7 @@ class TestExitTwo:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gauss", "3", "3", "--method", "enum", "--budget", "0"],
+            ["injection-audit", "--rule", "4", "--amax", "1", "--bmax", "1", "--budget", "0"],
             ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "0"],
             ["report", "--amax", "1", "--bmax", "1", "--budget", "0"],
         ],
@@ -968,8 +981,8 @@ class TestExitTwo:
 
     @pytest.mark.parametrize("command", ["report", "injection-audit"])
     def test_an_over_budget_range_is_refused_before_any_work(self, capsys, monkeypatch, command):
-        # The 13x13 box holds C(26, 13) = 10,400,600 partitions, past the default
-        # budget; every smaller box is within it, so one box at a time ran them all.
+        # The boxes up to 13x13 hold 484,073,550 parts, past the default budget;
+        # each box alone is within it, so one box at a time ran them all.
         built = []
 
         def spy(*args, **kwargs):
@@ -983,17 +996,137 @@ class TestExitTwo:
         assert time.perf_counter() - start < 1.0
         assert built == []
         assert capsys.readouterr() == (
-            "",
-            "budget exceeded: box (13,13) holds C(26,13) = 10400600 partitions"
-            " > budget 10000000\n",
+            "", f"budget exceeded: {command} needs at most 150000000 parts (--budget)\n"
         )
 
     @pytest.mark.parametrize("command", ["report", "injection-audit"])
     def test_the_largest_box_is_held_to_the_budget(self, capsys, command):
+        # With every smaller box: the budget counts the parts of the whole range,
+        # here sum a C(a+b, a) over 1 <= a, b <= 3 = 149.
         argv = [command, "--amax", "3", "--bmax", "3", "--budget"]
-        assert main(argv + ["19"]) == 3  # C(6, 3) = 20
-        assert main(argv + ["20"]) == 0
+        assert main(argv + ["148"]) == 3
+        assert main(argv + ["149"]) == 0
         capsys.readouterr()
+
+
+# Each box-sized entry of the admission table: the command line at its limit and
+# one step past it, and the builder that a spy replaces.
+BOX_LIMITS = [
+    (["gauss", "300", "300"], ["gauss", "300", "301"], qgauss, "gaussian_quotient"),
+    (["gauss", "150", "150", "--method", "pascal"], ["gauss", "151", "150", "--method", "pascal"],
+     qgauss, "gaussian_pascal"),
+    (["gauss", "11", "11", "--method", "enum"], ["gauss", "11", "12", "--method", "enum"],
+     qgauss, "level_counts"),
+    (["gauss", "25", "25", "--method", "koh"], ["gauss", "25", "26", "--method", "koh"],
+     qgauss, "koh_sum"),
+    (["paths", "monotone", "14", "6"], ["paths", "monotone", "15", "6"], pathlab, "monotone_paths"),
+    (["report", "--amax", "12", "--bmax", "12"], ["report", "--amax", "12", "--bmax", "13"],
+     qgauss, "level_counts"),
+    (["injection-audit", "--amax", "12", "--bmax", "12"],
+     ["injection-audit", "--amax", "13", "--bmax", "12"], injectlab, "audit"),
+    (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--budget", "789"],
+     ["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--budget", "788"],
+     injectlab, "audit"),
+]
+
+# The command lines that ran for seconds to minutes, or exhausted memory, before
+# every command was admitted by a predicted size.
+REFUSED_AT_ONCE = [
+    ["injection-audit", "--amax", "1000000", "--bmax", "1000000"],
+    ["injection-audit", "--amax", "1000", "--bmax", "1"],
+    ["report", "--amax", "13", "--bmax", "13"],
+    ["gauss", "10000000", "0", "--method", "pascal"],
+    ["gauss", "10000000", "0", "--method", "enum"],
+    ["gauss", "3000000", "1", "--method", "koh"],
+    ["gauss", "0", "20000"],
+    ["gauss", "1000", "1000"],
+    ["gauss", "200", "200", "--method", "pascal"],
+    ["gauss", "60", "60", "--method", "koh"],
+    ["bruhat", "9"],
+    ["sperner", "6", "--exhaustive"],
+    ["stirling", "1001"],
+    ["eulerian", "31"],
+]
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("at, past, module, builder", BOX_LIMITS, ids=lambda v: (
+        " ".join(v) if isinstance(v, list) else None))
+    def test_refused_one_past_its_limit(self, capsys, monkeypatch, at, past, module, builder):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            raise _Built
+
+        monkeypatch.setattr(module, builder, spy)
+        assert main(past) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: ") and captured.err.count("\n") == 1
+        assert built == []
+        with pytest.raises(_Built):
+            main(at)
+        assert built
+
+    @pytest.mark.parametrize("argv", REFUSED_AT_ONCE, ids=" ".join)
+    def test_refused_before_any_handler(self, capsys, monkeypatch, argv):
+        # Every handler is a spy, and the parser is rebuilt to call them.
+        for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail("a handler ran"))
+        monkeypatch.setattr(cli, "_parser", None)
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < 100
+
+    def test_the_partition_bound_holds(self):
+        # koh's term count p(n) < e^(pi sqrt(2n/3)) / n^(3/4), against the counts
+        # of a coin-change table, up to far past where it first exceeds any limit.
+        p = [1] + [0] * 1000
+        for part in range(1, 1001):
+            for n in range(part, 1001):
+                p[n] += p[n - part]
+        assert p[25] == 1958 and p[100] == 190569292
+        for n, count in enumerate(p):
+            assert count <= math.exp(math.pi * math.sqrt(2 * n / 3)) / max(n, 1) ** 0.75, n
+
+    def test_capped_binomials_stop_early_and_are_exact_below_the_cap(self):
+        for n in range(12):
+            for k in range(-1, n + 2):
+                assert cli._comb(n, k, math.inf) == (math.comb(n, k) if 0 <= k <= n else 0)
+        # C(2 10^6, 10^6) has 602,057 digits; past a cap of 10^9 it stops at once.
+        start = time.perf_counter()
+        assert cli._comb(2 * 10**6, 10**6, 10**9) > 10**9
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("amax, bmax", [(1, 1), (3, 3), (4, 7), (8, 8), (6, 1), (1, 6)])
+    def test_box_parts_is_the_sum_over_every_box(self, amax, bmax):
+        brute = sum(a * math.comb(a + b, a) for a in range(1, amax + 1) for b in range(1, bmax + 1))
+        assert cli._box_parts(amax, bmax, math.inf) == brute
+        assert cli._box_parts(amax, bmax, brute) == brute
+        assert cli._box_parts(amax, bmax, brute - 1) > brute - 1
+
+    def test_the_default_budget_admits_12x12_and_refuses_13x13_and_1000x1(self):
+        assert cli._box_parts(12, 12, math.inf) <= cli.DEFAULT_BUDGET
+        assert cli._box_parts(13, 13, cli.DEFAULT_BUDGET) > cli.DEFAULT_BUDGET
+        assert cli._box_parts(1000, 1, cli.DEFAULT_BUDGET) > cli.DEFAULT_BUDGET
+
+    def test_every_benchmark_box_is_admitted(self):
+        # The largest boxes the benchmark's gauss workload draws, each route.
+        for method, boxes in {
+            "quotient": [(36, 35), (35, 36)],
+            "pascal": [(40, 40), (38, 37), (37, 38)],
+            "koh": [(13, 13)],
+            "enum": [(3, 11), (11, 3), (6, 8), (8, 6)],
+        }.items():
+            limits = cli.GAUSS_LIMITS[method]
+            for a, b in boxes:
+                sizes = cli._gauss_cost(method, a, b, max(limits))
+                assert all(s <= limit for s, limit in zip(sizes, limits)), (method, a, b)
 
 
 def _argv(*parts):
@@ -1006,18 +1139,23 @@ def _opt(*words):
     return st.sampled_from([[], list(words)])
 
 
+# Past every limit: each integer argument may also be 10^6 or 10^9.
+def _int(lo, hi):
+    return st.one_of(st.integers(lo, hi), st.sampled_from([10**6, 10**9]))
+
+
 def _n(lo=-3, hi=6):
-    return st.integers(lo, hi).map(lambda x: [str(x)])
+    return _int(lo, hi).map(lambda x: [str(x)])
 
 
 def _flag(name, lo=-3, hi=6):
-    return st.one_of(st.just([]), st.integers(lo, hi).map(lambda x: [name, str(x)]))
+    return st.one_of(st.just([]), _int(lo, hi).map(lambda x: [name, str(x)]))
 
 
 _METHOD = st.sampled_from([[], ["--method", "pascal"], ["--method", "enum"], ["--method", "koh"]])
 _RULE = st.sampled_from(["all", "1", "2", "3", "4"]).map(lambda rule: ["--rule", rule])
-_COEFFS = st.lists(st.one_of(st.integers(-3, 6), st.integers(-3, 6).map(str)), max_size=6)
-_FAMILY = st.lists(st.lists(st.integers(-3, 6), max_size=3), max_size=4)
+_COEFFS = st.lists(st.one_of(_int(-3, 6), _int(-3, 6).map(str)), max_size=6)
+_FAMILY = st.lists(st.lists(_int(-3, 6), max_size=3), max_size=4)
 
 
 def _json(values):
@@ -1026,8 +1164,7 @@ def _json(values):
 
 # Every subcommand and mode, with integer arguments around each domain's edge.
 ARGVS = st.one_of(
-    _argv("gauss", _n(), _n(), _METHOD, _opt("--terms"), _opt("--koh-rule", "stated"),
-          _flag("--budget")),
+    _argv("gauss", _n(), _n(), _METHOD, _opt("--terms"), _opt("--koh-rule", "stated")),
     _argv("check", _json(_COEFFS), _flag("--center"), _opt("--unimodal"), _opt("--log-concave"),
           _opt("--palindromic"), _opt("--gamma"), _opt("--real-rooted")),
     _argv("injection-audit", _RULE, _flag("--amax", hi=3), _flag("--bmax", hi=3),

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from gausslab import criteria, injectlab
-from gausslab.errors import EnumerationBudgetExceeded, NoSuccessor
+from gausslab.cli import main
+from gausslab.errors import NoSuccessor
 from gausslab.injectlab import (
     AuditOutcome,
     BoxedPartition,
@@ -70,11 +71,17 @@ class TestEnumeration:
                         brute[sum(parts)].append(parts)
                 assert [[p.parts for p in lv] for lv in levels(a, b)] == brute, (a, b)
 
-    def test_budget(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_box(10, 10, budget=1000)
+    def test_budget(self, capsys, monkeypatch):
+        # The budget is the command line's: a range past it is refused before
+        # any box is enumerated, and the library takes no budget.
+        def refuse(a, b):
+            raise AssertionError("enumerated a box past the budget")
 
-    def test_audit_refuses_a_box_before_building_any_partition(self, monkeypatch):
+        monkeypatch.setattr(injectlab, "enumerate_box", refuse)
+        assert main(["injection-audit", "--amax", "10", "--bmax", "10", "--budget", "1000"]) == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+    def test_audit_refuses_a_box_before_building_any_partition(self, capsys, monkeypatch):
         built = []
 
         class Spy(BoxedPartition):
@@ -83,15 +90,17 @@ class TestEnumeration:
                 super().__post_init__()
 
         monkeypatch.setattr(injectlab, "BoxedPartition", Spy)
-        with pytest.raises(EnumerationBudgetExceeded):
-            audit(InjectionRule.MAX_WT, 10, 10, budget=1000)
+        # The boxes up to 2x2 hold 1 (C(4,2) - 1) + 2 (C(5,3) - 1) = 23 parts.
+        argv = ["injection-audit", "--rule", "4", "--amax", "2", "--bmax", "2", "--budget"]
+        assert main(argv + ["22"]) == 3
         assert built == []
-        audit(InjectionRule.MAX_WT, 2, 2, budget=6)
+        assert main(argv + ["23"]) == 0
         assert built
+        capsys.readouterr()
 
-    def test_negative_budget_is_a_usage_error(self):
-        with pytest.raises(ValueError, match="budget >= 0"):
-            audit(InjectionRule.MAX_WT, 3, 3, budget=-1)
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        assert main(["injection-audit", "--amax", "3", "--bmax", "3", "--budget", "-1"]) == 2
+        assert capsys.readouterr().err == "error: need --budget >= 0, got -1\n"
 
     def test_level_symmetry_under_conjugation(self):
         for a in range(1, 5):

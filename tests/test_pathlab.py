@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from gausslab import pathlab
+from gausslab.cli import main
 from gausslab.errors import ParityViolation, PathMissesLine
 from gausslab.pathlab import (
     count_free,
@@ -141,9 +143,15 @@ class TestFreeWalks:
                 for n in range(a + b, 13, 2):
                     assert count_free(a, b, n) == count_free_closed_form(a, b, n)
 
-    def test_range_guard(self):
+    def test_range_guard(self, capsys, monkeypatch):
+        # The command line caps n at 18 before the table is built; the library
+        # has no cap of its own.
+        assert count_free(1, 1, 20) == count_free_closed_form(1, 1, 20)
         with pytest.raises(ValueError):
-            count_free(1, 1, 20)
+            count_free(1, 1, 0)
+        monkeypatch.setattr(pathlab, "count_free", None)
+        assert main(["paths", "fab", "1", "1", "20"]) == 3
+        assert capsys.readouterr().err == "budget exceeded: paths fab needs n <= 18\n"
 
 
 class TestSagan:

@@ -1,10 +1,14 @@
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from gausslab.errors import EnumerationBudgetExceeded, NotAnAntichain
+from gausslab import posetlab
+from gausslab.cli import main
+from gausslab.errors import NotAnAntichain
 from gausslab.polycore import IntPoly, is_unimodal
 from gausslab.posetlab import (
     des,
@@ -37,11 +41,22 @@ class TestSperner:
         for n, total in totals.items():
             assert max_antichain(n).total_antichains == total
 
-    def test_budget_cap(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            max_antichain(6)
-        with pytest.raises(EnumerationBudgetExceeded):
-            list(iter_antichains(6))
+    def test_budget_cap(self, capsys, monkeypatch):
+        # The search is capped on the command line, before any family is built.
+        searched = []
+        search = posetlab.iter_antichains
+
+        def spy(n):
+            searched.append(n)
+            return search(n)
+
+        monkeypatch.setattr(posetlab, "iter_antichains", spy)
+        assert main(["sperner", "6", "--exhaustive"]) == 3
+        assert capsys.readouterr().err == "budget exceeded: sperner --exhaustive needs n <= 5\n"
+        assert searched == []
+        assert main(["sperner", "5", "--exhaustive"]) == 0
+        assert searched == [5]
+        capsys.readouterr()
 
 
 class TestLym:
@@ -55,6 +70,53 @@ class TestLym:
         with pytest.raises(NotAnAntichain) as err:
             lym_sum([[1], [1, 2]], 3)
         assert err.value.pair == ((1,), (1, 2))
+
+    def test_a_huge_ground_set_costs_no_memory(self):
+        # Subsets are compared as sets, not as n-bit masks.
+        tracemalloc.start()
+        try:
+            total = lym_sum([[10**12]], 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == Fraction(1, 10**12)
+        assert peak < 64 * 2**10
+
+    def test_matches_the_bitmask_version(self):
+        # The bitmask version lym_sum replaced, on random small families: the
+        # same sum, the same element error and the same pair, first in colex order.
+        def mask_version(family, n):
+            masks = set()
+            for subset in family:
+                mask = 0
+                for x in subset:
+                    if not 1 <= x <= n:
+                        raise ValueError(f"element {x} outside 1..{n}")
+                    mask |= 1 << (x - 1)
+                masks.add(mask)
+            masks = sorted(masks)
+            as_set = lambda m: tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
+            for s, t in itertools.combinations(masks, 2):
+                if s & t in (s, t):
+                    raise NotAnAntichain((as_set(s), as_set(t)))
+            return sum((Fraction(1, math.comb(n, m.bit_count())) for m in masks), Fraction(0))
+
+        def outcome(fn, family, n):
+            try:
+                return fn(family, n)
+            except NotAnAntichain as exc:
+                return exc.pair
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(7)
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            family = [
+                [rng.randint(0, n + 1) for _ in range(rng.randint(0, n + 1))]
+                for _ in range(rng.randint(0, 5))
+            ]
+            assert outcome(lym_sum, family, n) == outcome(mask_version, family, n), (family, n)
 
     def test_duplicates_collapse(self):
         assert lym_sum([[1, 2], [1, 2]], 3) == Fraction(1, 3)

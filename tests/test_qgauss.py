@@ -1,12 +1,14 @@
 import functools
 import itertools
+import json
 import math
 import tracemalloc
 
 import pytest
 
 from gausslab import criteria, injectlab, polycore, qgauss
-from gausslab.errors import EnumerationBudgetExceeded, SlotOverflow
+from gausslab.cli import main
+from gausslab.errors import SlotOverflow
 from gausslab.polycore import IntPoly, darga, is_darga_palindromic, is_log_concave
 from gausslab.qgauss import (
     KOH_RULES,
@@ -111,14 +113,20 @@ class TestLevelCounts:
             for b in range(1, 12):
                 assert level_counts(a, b) == list(gaussian_quotient(a, b).coeffs)
 
-    def test_budget(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            level_counts(8, 8, budget=100)
-        assert level_counts(2, 2, budget=None) == [1, 1, 2, 1, 1]
+    def test_budget(self, capsys):
+        # The enum route is bounded on the command line, at the parts of 11x11.
+        assert main(["gauss", "12", "12", "--method", "enum"]) == 3
+        assert main(["gauss", "11", "11", "--method", "enum"]) == 0
+        assert json.loads(capsys.readouterr().out)["coeffs"] == [
+            str(c) for c in gaussian_quotient(11, 11).coeffs
+        ]
 
-    def test_negative_budget_is_a_usage_error(self):
-        with pytest.raises(ValueError, match="budget >= 0"):
-            level_counts(3, 3, budget=-1)
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        # As is any --budget: gauss has none.
+        with pytest.raises(SystemExit) as err:
+            main(["gauss", "3", "3", "--method", "enum", "--budget", "-1"])
+        assert err.value.code == 2
+        capsys.readouterr()
 
     def test_matches_recursive_enumeration(self):
         for a in range(10):
@@ -144,24 +152,25 @@ class TestLevelCounts:
         monkeypatch.setattr(injectlab, "iter_box", refuse)
         assert level_counts(5, 4) == list(gaussian_quotient(5, 4).coeffs)
 
-    def test_budget_trips_before_any_iteration(self, monkeypatch):
+    def test_budget_trips_before_any_iteration(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumerated a box over budget")
 
         monkeypatch.setattr(qgauss, "combinations_with_replacement", refuse)
-        with pytest.raises(EnumerationBudgetExceeded):
-            level_counts(14, 14)
+        assert main(["gauss", "14", "14", "--method", "enum"]) == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
         with pytest.raises(AssertionError):
-            level_counts(2, 2)
+            main(["gauss", "2", "2", "--method", "enum"])
 
-    def test_12_12_peak_memory(self):
+    def test_10_10_peak_memory(self):
+        # A level_counts that held the box as a list would peak at about 22.7 MiB.
         tracemalloc.start()
         try:
-            counts = level_counts(12, 12)
+            counts = level_counts(10, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(counts) == math.comb(24, 12)
+        assert sum(counts) == math.comb(20, 10)
         assert peak < 64 * 2**10
 
 
@@ -295,7 +304,7 @@ class TestKoh:
 
     @pytest.mark.parametrize("box", [(1, 1), (4, 3), (6, 6)])
     def test_calibration_fails_on_one_corrupted_box(self, box):
-        counts = criteria.box_level_counts(6, 6, None)
+        counts = criteria.box_level_counts(6, 6)
         counts[box] = counts[box][:-1] + [counts[box][-1] + 1]
         assert not criteria.calibration_holds(counts)
 
