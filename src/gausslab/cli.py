@@ -9,10 +9,12 @@ Each handler returns its JSON fields and whether its checked property holds;
 or ``--out`` and picks the exit code: 0 the property holds, 1 it is false, 2 a
 usage, domain or output error, 3 a predicted size past its limit, refused before
 any handler runs (``_admit``).  ``report`` and ``injection-audit`` print one
-injections section and fail on its verdict.  Exit 2 covers an empty box range, a
-``--budget`` < 0, ``stirling n`` and ``bruhat n`` with n < 1, ``lym n`` with n < 0,
-malformed or too deeply nested JSON, ``check`` of the zero polynomial, and an
-``--out`` file that cannot be written.
+injections section and fail on its verdict.  ``check`` tests symmetry about half
+the darga, its one center.  Exit 2 covers an empty box range, a ``--budget`` < 0,
+``gauss --koh-rule`` or ``--terms`` without ``--method koh``, ``stirling n`` and
+``bruhat n`` with n < 1, ``lym n`` with n < 0, malformed or too deeply nested JSON,
+``check`` of the zero polynomial, which has no darga, and an ``--out`` file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def _parse_coeffs(text: str) -> IntPoly:
 
 def _cmd_gauss(args) -> Result:
     a, b = args.a, args.b
+    if args.method != "koh" and (args.koh_rule or args.terms):
+        raise ValueError("--koh-rule and --terms need --method koh")
     body = {"a": a, "b": b, "method": args.method}
     if args.method == "quotient":
         poly = qgauss.gaussian_quotient(a, b)
@@ -93,8 +97,9 @@ def _cmd_gauss(args) -> Result:
     elif args.method == "enum":
         poly = IntPoly(qgauss.level_counts(a, b))
     else:
-        poly, terms = qgauss.koh_sum(a, b, qgauss.KOH_RULES[args.koh_rule])
-        body["rule"] = args.koh_rule
+        rule = args.koh_rule or "calibrated"
+        poly, terms = qgauss.koh_sum(a, b, qgauss.KOH_RULES[rule])
+        body["rule"] = rule
         if args.terms:
             body["terms"] = [t.to_json_dict() for t in terms]
     body["coeffs"] = poly.to_json()
@@ -107,10 +112,8 @@ def _cmd_gauss(args) -> Result:
 def _cmd_check(args) -> Result:
     poly = _parse_coeffs(args.coeffs)
     if poly.is_zero:
-        # Refused whatever the flags: zero is palindromic about every center,
-        # so --gamma would build a gamma vector of length --center / 2.
+        # Refused whatever the flags: zero has no darga, so no center.
         raise ZeroPolynomial("check needs a nonzero polynomial")
-    center = args.center if args.center is not None else max(poly.degree, 0)
     requested = {
         "unimodal": args.unimodal,
         "log_concave": args.log_concave,
@@ -127,14 +130,14 @@ def _cmd_check(args) -> Result:
     if requested["log_concave"]:
         checks["log_concave"] = polycore.is_log_concave(poly)
     if requested["palindromic"]:
-        checks["palindromic"] = polycore.is_palindromic(poly, center)
+        checks["palindromic"] = polycore.is_palindromic(poly)
     if requested["gamma"]:
-        gammas = polycore.gamma_decompose(poly, center)
+        gammas = polycore.gamma_decompose(poly)
         checks["gamma_nonnegative"] = gammas is not None and min(gammas) >= 0
         checks["gamma"] = None if gammas is None else [str(g) for g in gammas]
     if requested["real_rooted"]:
         checks["real_rooted"] = polycore.is_real_rooted(poly)
-    body = {"coeffs": poly.to_json(), "center": center, "checks": checks}
+    body = {"coeffs": poly.to_json(), "center": polycore.darga(poly), "checks": checks}
     return body, not any(value is False for value in checks.values())
 
 
@@ -232,7 +235,7 @@ def _cmd_stirling(args) -> Result:
 
 def _cmd_eulerian(args) -> Result:
     poly = posetlab.eulerian(args.n)
-    checks = criteria.eulerian_checks(poly, args.n)
+    checks = criteria.eulerian_checks(poly)
     return {"n": args.n, "coeffs": poly.to_json(), "checks": checks}, all(checks.values())
 
 
@@ -432,13 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=["quotient", "pascal", "enum", "koh"], default="quotient"
     )
-    p.add_argument("--koh-rule", choices=list(qgauss.KOH_RULES), default="calibrated")
-    p.add_argument("--terms", action="store_true", help="dump the per-term breakdown")
+    p.add_argument("--koh-rule", choices=list(qgauss.KOH_RULES), default=None,
+                   help="width formula of --method koh (default: calibrated)")
+    p.add_argument("--terms", action="store_true",
+                   help="dump the per-term breakdown of --method koh")
     p.set_defaults(handler=_cmd_gauss)
 
     p = sub.add_parser("check", help="coefficient-shape checks for a polynomial")
     p.add_argument("coeffs", help='JSON array of coefficients, e.g. \'["1","1","2","1","1"]\'')
-    p.add_argument("--center", type=int, default=None)
     p.add_argument("--unimodal", action="store_true")
     p.add_argument("--log-concave", dest="log_concave", action="store_true")
     p.add_argument("--palindromic", action="store_true")

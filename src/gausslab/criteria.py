@@ -23,7 +23,7 @@ def g22_shape_holds() -> bool:
     return (
         g.coeffs == (1, 1, 2, 1, 1)
         and polycore.is_unimodal(g)
-        and polycore.is_palindromic(g, 4)
+        and polycore.is_palindromic(g)
         and not polycore.is_log_concave(g)
     )
 
@@ -93,7 +93,7 @@ def gaussian_grid(counts: Mapping[tuple[int, int], list[int]]) -> list[dict]:
                 "stated_rule_agrees": koh_stated == quotient,
                 "unimodal": polycore.is_unimodal(quotient),
                 "darga": polycore.darga(quotient),
-                "darga_palindromic": polycore.is_darga_palindromic(quotient),
+                "darga_palindromic": polycore.is_palindromic(quotient),
             }
         )
     return grid
@@ -206,10 +206,12 @@ def stirling_rows_hold(nmax: int) -> bool:
     return True
 
 
-def eulerian_checks(poly: IntPoly, n: int) -> dict[str, bool]:
-    """The certificates of A_n: palindromic, unimodal, real-rooted, coefficients
-    summing to n!, and gamma-nonnegative (false unless palindromic)."""
-    gammas = polycore.gamma_decompose(poly, n - 1)
+def eulerian_checks(poly: IntPoly) -> dict[str, bool]:
+    """The certificates of A_n, the row of degree n - 1: palindromic, unimodal,
+    real-rooted, coefficients summing to n!, and gamma-nonnegative (false unless
+    palindromic)."""
+    n = poly.degree + 1
+    gammas = polycore.gamma_decompose(poly)
     return {
         "palindromic": gammas is not None,
         "unimodal": polycore.is_unimodal(poly),
@@ -222,7 +224,7 @@ def eulerian_checks(poly: IntPoly, n: int) -> dict[str, bool]:
 def eulerian_suite_holds(nmax: int) -> bool:
     """Every certificate of ``eulerian_checks`` holds for A_n, n = 1..nmax."""
     return all(
-        all(eulerian_checks(posetlab.eulerian(n), n).values()) for n in range(1, nmax + 1)
+        all(eulerian_checks(posetlab.eulerian(n)).values()) for n in range(1, nmax + 1)
     )
 
 

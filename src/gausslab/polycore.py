@@ -328,24 +328,17 @@ def is_log_concave(f: PolyLike) -> bool:
     return all(a[k] * a[k] >= a[k - 1] * a[k + 1] for k in range(1, len(a) - 1))
 
 
-def is_palindromic(f: PolyLike, n: int) -> bool:
-    """True iff a_k = a_{n-k} for 0 <= k <= n (center n/2).
+def is_palindromic(f: PolyLike) -> bool:
+    """True iff a_k = a_{d-k} for every k, where d = darga(f): f reads the same
+    from its lowest nonzero coefficient to its highest (center d/2).
 
-    The center is an explicit parameter because symmetric polynomials whose
-    support starts above 0 (e.g. X^2 + X^3) have centers beyond deg/2.  A
-    nonzero f can only be palindromic about darga(f)/2, since a_low and
-    a_deg must pair with nonzero coefficients, so the test reads the
-    support alone and costs O(deg f) whatever n is.  The zero polynomial is
-    palindromic about every center.
+    The darga is the only center a nonzero f can have, since a_low and a_deg
+    must pair with nonzero coefficients; so X^2 + X^3 is symmetric about 5/2,
+    beyond deg/2.  The zero polynomial, which has no darga, is palindromic.
     """
-    if n < 0:
-        raise ValueError("center parameter must be nonnegative")
     p = as_poly(f)
-    if p.is_zero:
-        return True
-    low = p.low_degree
-    support = p.coeffs[low:]
-    return n == low + p.degree and support == support[::-1]
+    support = () if p.is_zero else p.coeffs[p.low_degree:]
+    return support == support[::-1]
 
 
 def darga(f: PolyLike) -> int:
@@ -356,17 +349,12 @@ def darga(f: PolyLike) -> int:
     return p.low_degree + p.degree
 
 
-def is_darga_palindromic(f: PolyLike) -> bool:
-    """Symmetric about darga/2, i.e. a_k = a_{darga - k}."""
-    return is_palindromic(f, darga(f))
-
-
 # -- gamma decomposition -----------------------------------------------------
 
 
-def gamma_decompose(f: PolyLike, n: int) -> tuple[int, ...] | None:
-    """Unique gamma-vector of f in the X^k (1+X)^(n-2k) basis, or None when f
-    is not palindromic with center n/2.
+def gamma_decompose(f: PolyLike) -> tuple[int, ...] | None:
+    """Unique gamma-vector of f in the X^k (1+X)^(n-2k) basis, n = darga(f), or
+    None when f is not palindromic.  ZeroPolynomial for zero, which has no darga.
 
     Solves the unitriangular change of basis by peeling the basis elements
     off the low-degree coefficients; integer inputs yield integer gammas
@@ -374,16 +362,17 @@ def gamma_decompose(f: PolyLike, n: int) -> tuple[int, ...] | None:
     low half of the residual zeroes all of it, since the input and every
     basis element are palindromic about n/2.
 
-    >>> gamma_decompose([1, 4, 1], 2)
+    >>> gamma_decompose([1, 4, 1])
     (1, 2)
-    >>> gamma_decompose([1, 2], 2) is None
+    >>> gamma_decompose([0, 1, 1])
+    (0, 1)
+    >>> gamma_decompose([1, 2]) is None
     True
     """
-    if n < 0:
-        raise ValueError("center parameter must be nonnegative")
     p = as_poly(f)
-    if not is_palindromic(p, n):
+    if not is_palindromic(p):
         return None
+    n = darga(p)
     residual = list(p.coeffs) + [0] * (n + 1 - len(p.coeffs))
     gammas = []
     for k in range(n // 2 + 1):

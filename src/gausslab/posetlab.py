@@ -168,10 +168,7 @@ def inversion_polynomial(n: int) -> IntPoly:
         raise ValueError("need n >= 1")
     counts = [0] * (n * (n - 1) // 2 + 1)
     for w in itertools.permutations(range(1, n + 1)):
-        total = sum(
-            1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
-        )
-        counts[total] += 1
+        counts[inv(w)] += 1
     return IntPoly(counts)
 
 

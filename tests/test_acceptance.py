@@ -168,9 +168,10 @@ def test_criterion_12_property_suites():
             if f.is_zero:
                 continue
             n = len(coeffs) - 1
-            gammas = polycore.gamma_decompose(f, n)
+            assert polycore.darga(f) == n
+            gammas = polycore.gamma_decompose(f)
             assert gamma_expand(gammas, n) == f
-            assert polycore.gamma_decompose(f, n) == gammas  # unique / deterministic
+            assert polycore.gamma_decompose(f) == gammas  # unique / deterministic
 
         # shift-test building blocks peak at 1 + m//2 through m = 30
         for m in range(31):

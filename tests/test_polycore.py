@@ -18,7 +18,6 @@ from gausslab.polycore import (
     div_exact,
     gamma_decompose,
     gamma_expand,
-    is_darga_palindromic,
     is_log_concave,
     is_palindromic,
     is_real_rooted,
@@ -128,65 +127,80 @@ class TestLogConcave:
 
 class TestPalindromicDarga:
     def test_examples(self):
-        assert is_palindromic([1, 1, 2, 1, 1], 4)
-        assert not is_palindromic([1, 2], 1)
+        assert is_palindromic([1, 1, 2, 1, 1])
+        assert not is_palindromic([1, 2])
         assert darga([0, 0, 1, 1]) == 5
 
     def test_center_beyond_degree(self):
-        # X^2 + X^3 is symmetric about 5/2 even though its degree is 3.
-        assert is_palindromic([0, 0, 1, 1], 5)
-        assert not is_palindromic([0, 0, 1, 1], 3)
-        assert is_darga_palindromic([0, 0, 1, 1])
+        # X^2 + X^3 is symmetric about its darga 5 / 2 even though its degree is 3;
+        # as a list padded to its degree it is not.
+        assert darga([0, 0, 1, 1]) == 5
+        assert is_palindromic([0, 0, 1, 1])
+        assert is_palindromic([0, 1, 2, 1])
+        assert not is_palindromic([0, 0, 1, 2])
 
     def test_degree_exceeds_center(self):
-        assert not is_palindromic([1, 1, 1], 1)
+        # The support must mirror itself: 1 + X + 2X^2 mirrors about no center.
+        assert not is_palindromic([1, 1, 2])
+        assert not is_palindromic([2, 1, 1, 0, 0])
+        assert not is_palindromic([0, 1, 1, 1, 0, 2])
 
     def test_zero_polynomial(self):
-        assert is_palindromic([], 4)
+        assert is_palindromic([])
         with pytest.raises(ZeroPolynomial):
             darga([])
+        with pytest.raises(ZeroPolynomial):
+            gamma_decompose([])
 
     def test_reversal_oracle(self):
-        # a_k = a_{n-k} is the same as comparing against the reversed padding.
-        for coeffs, n in [([1, 2, 3, 2, 1], 4), ([1, 2, 3], 4), ([2, 3, 3, 2], 3)]:
-            padded = coeffs + [0] * (n + 1 - len(coeffs))
-            assert is_palindromic(coeffs, n) == (padded == padded[::-1])
+        # a_k = a_{d-k}, d = darga, is the same as comparing the list padded to
+        # length d + 1 against its reversal, and no other center passes.
+        for coeffs in [[1, 2, 3, 2, 1], [1, 2, 3], [2, 3, 3, 2], [0, 0, 1, 1], [0, 1, 2, 3]]:
+            centers = [
+                n for n in range(len(coeffs) - 1, 2 * len(coeffs))
+                if (padded := coeffs + [0] * (n + 1 - len(coeffs))) == padded[::-1]
+            ]
+            assert centers == ([darga(coeffs)] if is_palindromic(coeffs) else [])
 
 
 class TestGamma:
     def test_basis_element(self):
-        assert gamma_decompose(binomial_power(4), 4) == (1, 0, 0)
+        assert gamma_decompose(binomial_power(4)) == (1, 0, 0)
+        # X (1+X)^2 has darga 4: it is the k = 1 element of the n = 4 basis.
+        assert gamma_decompose(binomial_power(2).shift(1)) == (0, 1, 0)
 
     def test_worked_examples(self):
         # 1 + 4X + X^2 = (1+X)^2 + 2X and 1 + X^2 = (1+X)^2 - 2X.
-        assert gamma_decompose([1, 4, 1], 2) == (1, 2)
-        assert gamma_decompose([1, 0, 1], 2) == (1, -2)
+        assert gamma_decompose([1, 4, 1]) == (1, 2)
+        assert gamma_decompose([1, 0, 1]) == (1, -2)
         assert gamma_expand((1, 2), 2) == IntPoly([1, 4, 1])
         assert gamma_expand((1, -2), 2) == IntPoly([1, 0, 1])
+        # X + X^2 = X (1+X), center 3/2.
+        assert gamma_decompose([0, 1, 1]) == (0, 1)
 
     def test_not_palindromic(self):
-        # Off-center, asymmetric, or of degree above n: no gamma-vector.
-        for coeffs, n in [([1, 2], 2), ([1, 2], 1), ([1, 1], 3), ([1, 2, 1], 1)]:
-            assert gamma_decompose(coeffs, n) is None, (coeffs, n)
-        with pytest.raises(ValueError):
-            gamma_decompose([1, 2], -1)
+        # Asymmetric supports, wherever they start: no gamma-vector.
+        for coeffs in [[1, 2], [0, 1, 2], [1, 1, 2], [2, 1, 1, 1], [0, 0, 1, 0, 2]]:
+            assert gamma_decompose(coeffs) is None, coeffs
 
     def test_reconstruction(self):
-        for coeffs, n in [([1, 1, 2, 1, 1], 4), ([0, 1, 1], 3), ([2, 5, 5, 2], 3)]:
-            assert gamma_expand(gamma_decompose(coeffs, n), n) == IntPoly(coeffs)
+        for coeffs in [[1, 1, 2, 1, 1], [0, 1, 1], [2, 5, 5, 2], [0, 0, 3, 1, 3]]:
+            assert gamma_expand(gamma_decompose(coeffs), darga(coeffs)) == IntPoly(coeffs)
 
     def test_every_small_palindrome_is_exhausted(self):
         # gamma_decompose peels only the low half and does not check that the
-        # residual vanished: every palindrome with entries in -2..2 and center
-        # n/2, n <= 7, must re-expand to itself.
+        # residual vanished: every nonzero palindrome with entries in -2..2 and
+        # center n/2, n <= 7, must re-expand to itself about its darga n.
         for n in range(8):
             for half in itertools.product(range(-2, 3), repeat=n // 2 + 1):
                 coeffs = list(half) + list(reversed(half[: (n + 1) // 2]))
-                gammas = gamma_decompose(coeffs, n)
-                assert gamma_expand(gammas, n) == IntPoly(coeffs), coeffs
+                if not any(coeffs):
+                    continue
+                gammas = gamma_decompose(coeffs)
+                assert gamma_expand(gammas, darga(coeffs)) == IntPoly(coeffs), coeffs
 
     def test_manual_vector(self):
-        assert gamma_decompose(gamma_expand((1, -1, 2), 4), 4) == (1, -1, 2)
+        assert gamma_decompose(gamma_expand((1, -1, 2), 4)) == (1, -1, 2)
 
 
 @pytest.fixture

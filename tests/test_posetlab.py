@@ -190,6 +190,20 @@ class TestWeakOrder:
                 inversion_polynomial(n).coeffs
             )
 
+    def test_inversion_polynomial_and_bruhat_share_one_count(self, monkeypatch):
+        counted = []
+
+        def spy(word):
+            counted.append(tuple(word))
+            return inv(word)
+
+        monkeypatch.setattr(posetlab, "inv", spy)
+        inversion_polynomial(4)
+        assert sorted(counted) == sorted(itertools.permutations(range(1, 5)))
+        counted.clear()
+        weak_bruhat(4)
+        assert sorted(counted) == sorted(itertools.permutations(range(1, 5)))
+
 
 class TestStirling:
     def test_examples(self):

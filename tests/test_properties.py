@@ -18,7 +18,6 @@ from gausslab.polycore import (
     div_exact_xm_minus_one,
     gamma_decompose,
     gamma_expand,
-    is_darga_palindromic,
     is_log_concave,
     is_palindromic,
     is_real_rooted,
@@ -162,21 +161,32 @@ def test_overflowed_slots_unpack_to_a_smaller_sum(nb, data):
 # -- palindromicity and gamma vectors -------------------------------------------
 
 
-@given(coeff_lists, st.integers(min_value=0, max_value=12))
-def test_palindromic_matches_reversal(a, n):
+@given(coeff_lists)
+def test_palindromic_matches_reversal(a):
+    # Palindromic iff some center n/2 mirrors the padded list, and then n is
+    # the darga; a nonzero f has a gamma-vector exactly then.
     f = IntPoly(a)
-    padded = list(f.coeffs) + [0] * max(0, n + 1 - len(f.coeffs))
-    expected = f.degree <= n and padded == padded[::-1]
-    assert is_palindromic(f, n) == expected
-    assert (gamma_decompose(f, n) is not None) == expected
+    centers = [
+        n for n in range(len(f.coeffs) - 1, 2 * len(f.coeffs) + 1)
+        if (padded := list(f.coeffs) + [0] * (n + 1 - len(f.coeffs))) == padded[::-1]
+    ]
+    assert is_palindromic(f) == bool(centers)
+    if not f.is_zero:
+        assert centers in ([], [darga(f)])
+        assert (gamma_decompose(f) is not None) == bool(centers)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=5), st.integers(0, 1))
 def test_gamma_round_trip_from_vector(gammas, extra):
     n = 2 * (len(gammas) - 1) + extra
     poly = gamma_expand(gammas, n)
-    assert is_palindromic(poly, n)
-    assert gamma_decompose(poly, n) == tuple(gammas)
+    assert is_palindromic(poly)
+    if not any(gammas):
+        assert poly.is_zero
+        return
+    # The first nonzero gamma_k gives the lowest term X^k and the highest X^(n-k).
+    assert darga(poly) == n
+    assert gamma_decompose(poly) == tuple(gammas)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=5), st.booleans())
@@ -186,11 +196,11 @@ def test_gamma_round_trip_from_polynomial(half, odd_center):
         coeffs = half + half[::-1]
     else:
         coeffs = half + half[-2::-1]
-    n = len(coeffs) - 1
     f = IntPoly(coeffs)
     if f.degree < 0:
         return
-    assert gamma_expand(gamma_decompose(f, n), n) == f
+    assert darga(f) == len(coeffs) - 1
+    assert gamma_expand(gamma_decompose(f), darga(f)) == f
 
 
 def test_gamma_nonnegative_implies_unimodal_and_palindromic():
@@ -201,7 +211,7 @@ def test_gamma_nonnegative_implies_unimodal_and_palindromic():
         gammas = tuple(rng.randint(0, 9) for _ in range(n // 2 + 1))
         poly = gamma_expand(gammas, n)
         assert is_unimodal(poly)
-        assert is_palindromic(poly, n)
+        assert is_palindromic(poly)
 
 
 # -- unimodality closure properties -----------------------------------------------
@@ -298,9 +308,9 @@ def test_real_rooted_nonnegative_is_gamma_nonnegative_when_palindromic():
             # (c X^2 + (c^2+1) X + c) has reciprocal roots; keeps palindromicity
             poly = poly * IntPoly([c, c * c + 1, c])
             degree += 2
-        assert is_palindromic(poly, degree)
+        assert is_palindromic(poly) and darga(poly) == degree
         if is_real_rooted(poly):
-            assert min(gamma_decompose(poly, degree)) >= 0
+            assert min(gamma_decompose(poly)) >= 0
 
 
 def test_product_of_log_concave_positive_is_log_concave():
@@ -389,7 +399,7 @@ def test_darga_of_shifted_product(a, k):
         return
     g = binomial_power(2).shift(k)  # darga 2 + 2k, palindromic
     assert darga(f * g) == darga(f) + darga(g)
-    assert is_darga_palindromic(g)
+    assert is_palindromic(g)
 
 
 def test_darga_palindromic_products_stay_darga_palindromic():
@@ -404,6 +414,6 @@ def test_darga_palindromic_products_stay_darga_palindromic():
         f, g = make(rng), make(rng)
         if f.is_zero or g.is_zero:
             continue
-        assert is_darga_palindromic(f) and is_darga_palindromic(g)
-        assert is_darga_palindromic(f * g)
+        assert is_palindromic(f) and is_palindromic(g)
+        assert is_palindromic(f * g)
         assert darga(f * g) == darga(f) + darga(g)
