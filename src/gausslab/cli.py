@@ -10,11 +10,10 @@ or ``--out`` and picks the exit code: 0 the property holds, 1 it is false, 2 a
 usage, domain or output error, 3 a predicted size past its limit, refused before
 any handler runs (``_admit``).  ``report`` and ``injection-audit`` print one
 injections section and fail on its verdict.  ``check`` tests symmetry about half
-the darga, its one center.  Exit 2 covers an empty box range, a ``--budget`` < 0,
-``gauss --koh-rule`` or ``--terms`` without ``--method koh``, ``stirling n`` and
-``bruhat n`` with n < 1, ``lym n`` with n < 0, malformed or too deeply nested JSON,
-``check`` of the zero polynomial, which has no darga, and an ``--out`` file that
-cannot be written.
+the darga, its one center.  Exit 2 covers an empty box range, ``gauss --koh-rule``
+or ``--terms`` without ``--method koh``, ``stirling n`` and ``bruhat n`` with n < 1,
+``lym n`` with n < 0, malformed or too deeply nested JSON, ``check`` of the zero
+polynomial, which has no darga, and an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -341,9 +340,10 @@ def _cmd_report(args) -> Result:
 # paths fab about n^3 / 3 walk-table entries; paths monotone builds C(n, k) + C(n, k+1)
 # paths of n + 1 vertices, at most as many as at n = 14, k = 6.  A gauss route may
 # cost no more than at its anchor box: quotient 300x300 takes 6 s, pascal 150x150
-# 4.4 s, koh 25x25 1.1 s and enum 11x11 0.2 s.  --budget counts the parts of every
-# box in range, a per partition of an a-by-b box: 115,149,423 up to 12x12.
-DEFAULT_BUDGET = 150_000_000
+# 4.4 s, koh 25x25 1.1 s and enum 11x11 0.2 s.  A report or injection-audit range
+# may hold at most BOX_PARTS_LIMIT parts over all its boxes, a per partition of an
+# a-by-b box: 115,149,423 up to 12x12, 484,073,550 up to 13x13.
+BOX_PARTS_LIMIT = 150_000_000
 N_LIMITS = {"sperner": 100_000, "sperner --exhaustive": 5, "stirling": 1_000,
             "eulerian": 30, "bruhat": 8, "paths fab": 18, "paths sagan": 2_000}
 GAUSS_ANCHORS = {"quotient": (300, 300), "pascal": (150, 150), "enum": (11, 11), "koh": (25, 25)}
@@ -397,10 +397,8 @@ GAUSS_LIMITS = {m: _gauss_cost(m, a, b, math.inf) for m, (a, b) in GAUSS_ANCHORS
 def _admit(args, command: str) -> None:
     """Refuse ``command`` if a predicted size is past its limit."""
     if command in ("report", "injection-audit"):
-        if args.budget < 0:
-            raise ValueError(f"need --budget >= 0, got {args.budget}")
-        what = f"at most {args.budget} parts (--budget)"
-        bounds = [(_box_parts(args.amax, args.bmax, args.budget), args.budget, what)]
+        parts = _box_parts(args.amax, args.bmax, BOX_PARTS_LIMIT)
+        bounds = [(parts, BOX_PARTS_LIMIT, f"at most {BOX_PARTS_LIMIT} parts")]
     elif command == "gauss":
         limits, (a, b) = GAUSS_LIMITS[args.method], GAUSS_ANCHORS[args.method]
         what = f"--method {args.method} to cost no more than at {a}x{b}"
@@ -427,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for Gaussian polynomials, posets, and lattice paths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    budget_help = "most parts held by the partitions of every box in range (>= 0)"
 
     p = sub.add_parser("gauss", help="Gaussian polynomial coefficients by any route")
     p.add_argument("a", type=int)
@@ -454,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=["all", "1", "2", "3", "4"], default="all")
     p.add_argument("--amax", type=int, default=4)
     p.add_argument("--bmax", type=int, default=4)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
     p.set_defaults(handler=_cmd_injection_audit)
 
     p = sub.add_parser("sperner", help="largest antichain in the subset lattice")
@@ -500,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full verification run as one JSON document")
     p.add_argument("--amax", type=int, default=6)
     p.add_argument("--bmax", type=int, default=6)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
     p.add_argument("--out", default=None, help="write atomically to this file")
     p.set_defaults(handler=_cmd_report)
 

@@ -230,7 +230,8 @@ def div_exact_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
     c = as_poly(f).coeffs
     size = max(len(c) - m, 0)
     q = [-v for v in c[:size]]
-    for r in range(min(m, size)):
+    # A residue class r >= size - m holds one coefficient, already its own sum.
+    for r in range(min(m, size - m)):
         q[r::m] = itertools.accumulate(q[r::m])
     shifted = [0] * m + q
     for k in range(size, len(c)):

@@ -715,6 +715,8 @@ class TestSlotOverflowExitsTwo:
 # as "<command> needs <limit>"; `gauss` lost its --budget then, so its exit-3
 # entry is a box past the enum route's limit.  The `check` of X + X^2 dates from
 # when the darga became the only center; it replaced a `check --center` entry.
+# The injection-audit refusal dates from when the box-range limit became fixed
+# and its line stopped naming a --budget.
 GOLDEN = [
     (["gauss", "5", "3"], 0,
      "18d88997aaba130ec951e26ddc7f02f4ddd0e2dbd3a28aad7b08b831724cbdfd"),
@@ -757,7 +759,7 @@ GOLDEN = [
     (["injection-audit", "--rule", "3", "--amax", "5", "--bmax", "3"], 0,
      "6ac450f740f990708d393a65af174a270ef97d152a31a5063b2122092143782b"),
     (["injection-audit", "--amax", "13", "--bmax", "13"], 3,
-     "4d621488588ec580535b4792f417fe90a90c0e8c7801a64d570be0d448a3702b"),
+     "59b832673402fc880ae63afb7e02be68dafb16ee9c11f37879e7feb24d6c7eee"),
     (["sperner", "5"], 0,
      "6d14095e3f2e8519c67245a655c6903ad261fcf05cc83b37fbcc0f13d30cf167"),
     (["sperner", "4", "--exhaustive"], 0,
@@ -916,8 +918,6 @@ class TestExitTwo:
             ["paths", "fab", "1", "1", "0"],
             ["paths", "monotone", "4", "2"],
             ["paths", "sagan", "3", "4"],
-            ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "-1"],
-            ["report", "--amax", "1", "--bmax", "1", "--budget", "-5"],
         ],
     )
     def test_empty_or_meaningless_range(self, capsys, argv):
@@ -977,45 +977,47 @@ class TestExitTwo:
         assert " not valid JSON: " in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["injection-audit", "--rule", "4", "--amax", "1", "--bmax", "1", "--budget", "0"],
-            ["injection-audit", "--amax", "2", "--bmax", "2", "--budget", "0"],
-            ["report", "--amax", "1", "--bmax", "1", "--budget", "0"],
-        ],
-    )
-    def test_zero_budget_is_exceeded_by_every_box(self, capsys, argv):
-        assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("budget exceeded: ")
-
-    @pytest.mark.parametrize("command", ["report", "injection-audit"])
-    def test_an_over_budget_range_is_refused_before_any_work(self, capsys, monkeypatch, command):
-        # The boxes up to 13x13 hold 484,073,550 parts, past the default budget;
-        # each box alone is within it, so one box at a time ran them all.
+    @staticmethod
+    def _spy_on_every_builder(monkeypatch) -> list:
+        """Spies in place of the builders of every box in range; each raises _Built."""
         built = []
 
         def spy(*args, **kwargs):
             built.append(args)
             raise _Built
 
-        monkeypatch.setattr(qgauss, "level_counts", spy)
-        monkeypatch.setattr(injectlab, "audit", spy)
-        start = time.perf_counter()
-        assert main([command, "--amax", "13", "--bmax", "13"]) == 3
-        assert time.perf_counter() - start < 1.0
-        assert built == []
-        assert capsys.readouterr() == (
-            "", f"budget exceeded: {command} needs at most 150000000 parts (--budget)\n"
-        )
+        for module, builder in [(posetlab, "max_antichain"), (qgauss, "level_counts"),
+                                (injectlab, "audit_all"), (injectlab, "audit"),
+                                (injectlab, "enumerate_box")]:
+            monkeypatch.setattr(module, builder, spy)
+        return built
 
     @pytest.mark.parametrize("command", ["report", "injection-audit"])
-    def test_the_largest_box_is_held_to_the_budget(self, capsys, command):
-        # With every smaller box: the budget counts the parts of the whole range,
-        # here sum a C(a+b, a) over 1 <= a, b <= 3 = 149.
-        argv = [command, "--amax", "3", "--bmax", "3", "--budget"]
-        assert main(argv + ["148"]) == 3
-        assert main(argv + ["149"]) == 0
+    def test_an_over_budget_range_is_refused_before_any_work(self, capsys, monkeypatch, command):
+        # The boxes up to 12x13 hold 223,315,663 parts, up to 13x13 484,073,550
+        # and up to 1000x1 334,334,000, each past the limit of 150,000,000.
+        built = self._spy_on_every_builder(monkeypatch)
+        for amax, bmax in [(12, 13), (13, 13), (1000, 1)]:
+            start = time.perf_counter()
+            assert main([command, "--amax", str(amax), "--bmax", str(bmax)]) == 3
+            assert time.perf_counter() - start < 1.0
+            assert built == []
+            assert capsys.readouterr() == (
+                "", f"budget exceeded: {command} needs at most 150000000 parts\n"
+            )
+
+    @pytest.mark.parametrize("command", ["report", "injection-audit"])
+    def test_the_largest_box_is_held_to_the_budget(self, capsys, monkeypatch, command):
+        # With every smaller box: the limit counts the parts of the whole range.
+        # 13x13 alone holds 13 C(26, 13) = 135,207,800 parts, within the limit,
+        # but its range is refused; the range up to 12x12 holds 115,149,423.
+        assert 13 * math.comb(26, 13) <= cli.BOX_PARTS_LIMIT
+        built = self._spy_on_every_builder(monkeypatch)
+        assert main([command, "--amax", "13", "--bmax", "13"]) == 3
+        assert built == []
+        with pytest.raises(_Built):
+            main([command, "--amax", "12", "--bmax", "12"])
+        assert built
         capsys.readouterr()
 
 
@@ -1034,9 +1036,6 @@ BOX_LIMITS = [
      qgauss, "level_counts"),
     (["injection-audit", "--amax", "12", "--bmax", "12"],
      ["injection-audit", "--amax", "13", "--bmax", "12"], injectlab, "audit"),
-    (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--budget", "789"],
-     ["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4", "--budget", "788"],
-     injectlab, "audit"),
 ]
 
 # The command lines that ran for seconds to minutes, or exhausted memory, before
@@ -1044,6 +1043,7 @@ BOX_LIMITS = [
 REFUSED_AT_ONCE = [
     ["injection-audit", "--amax", "1000000", "--bmax", "1000000"],
     ["injection-audit", "--amax", "1000", "--bmax", "1"],
+    ["report", "--amax", "1000", "--bmax", "1"],
     ["report", "--amax", "13", "--bmax", "13"],
     ["gauss", "10000000", "0", "--method", "pascal"],
     ["gauss", "10000000", "0", "--method", "enum"],
@@ -1121,9 +1121,11 @@ class TestAdmission:
         assert cli._box_parts(amax, bmax, brute - 1) > brute - 1
 
     def test_the_default_budget_admits_12x12_and_refuses_13x13_and_1000x1(self):
-        assert cli._box_parts(12, 12, math.inf) <= cli.DEFAULT_BUDGET
-        assert cli._box_parts(13, 13, cli.DEFAULT_BUDGET) > cli.DEFAULT_BUDGET
-        assert cli._box_parts(1000, 1, cli.DEFAULT_BUDGET) > cli.DEFAULT_BUDGET
+        limit = cli.BOX_PARTS_LIMIT
+        assert cli._box_parts(12, 12, math.inf) == 115_149_423 <= limit
+        assert cli._box_parts(12, 13, math.inf) == 223_315_663 > limit
+        assert cli._box_parts(13, 13, limit) > limit
+        assert cli._box_parts(1000, 1, limit) > limit
 
     def test_every_benchmark_box_is_admitted(self):
         # The largest boxes the benchmark's gauss workload draws, each route.
@@ -1177,8 +1179,7 @@ ARGVS = st.one_of(
     _argv("gauss", _n(), _n(), _METHOD, _opt("--terms"), _opt("--koh-rule", "stated")),
     _argv("check", _json(_COEFFS), _opt("--unimodal"), _opt("--log-concave"),
           _opt("--palindromic"), _opt("--gamma"), _opt("--real-rooted")),
-    _argv("injection-audit", _RULE, _flag("--amax", hi=3), _flag("--bmax", hi=3),
-          _flag("--budget", hi=200)),
+    _argv("injection-audit", _RULE, _flag("--amax", hi=3), _flag("--bmax", hi=3)),
     _argv("sperner", _n(), _opt("--exhaustive")),
     _argv("lym", _n(), _json(_FAMILY)),
     _argv("bruhat", _n()),
@@ -1240,3 +1241,11 @@ class TestUsage:
             main(["sperner", "3", "--exhaustive", "--max-exhaustive", "5"])
         assert err.value.code == 2
         assert "unrecognized arguments: --max-exhaustive 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "injection-audit"])
+    def test_the_box_parts_limit_is_not_an_option(self, capsys, command):
+        # Like gauss, neither command takes a --budget: the limit is BOX_PARTS_LIMIT.
+        with pytest.raises(SystemExit) as err:
+            main([command, "--amax", "2", "--bmax", "2", "--budget", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err

@@ -72,14 +72,15 @@ class TestEnumeration:
                 assert [[p.parts for p in lv] for lv in levels(a, b)] == brute, (a, b)
 
     def test_budget(self, capsys, monkeypatch):
-        # The budget is the command line's: a range past it is refused before
+        # The limit is the command line's: a range past it is refused before
         # any box is enumerated, and the library takes no budget.
         def refuse(a, b):
             raise AssertionError("enumerated a box past the budget")
 
         monkeypatch.setattr(injectlab, "enumerate_box", refuse)
-        assert main(["injection-audit", "--amax", "10", "--bmax", "10", "--budget", "1000"]) == 3
-        assert capsys.readouterr().err.startswith("budget exceeded: ")
+        for amax, bmax in [(12, 13), (13, 13), (1000, 1)]:
+            assert main(["injection-audit", "--amax", str(amax), "--bmax", str(bmax)]) == 3
+            assert capsys.readouterr().err.startswith("budget exceeded: ")
 
     def test_audit_refuses_a_box_before_building_any_partition(self, capsys, monkeypatch):
         built = []
@@ -90,17 +91,19 @@ class TestEnumeration:
                 super().__post_init__()
 
         monkeypatch.setattr(injectlab, "BoxedPartition", Spy)
-        # The boxes up to 2x2 hold 1 (C(4,2) - 1) + 2 (C(5,3) - 1) = 23 parts.
-        argv = ["injection-audit", "--rule", "4", "--amax", "2", "--bmax", "2", "--budget"]
-        assert main(argv + ["22"]) == 3
+        # The range up to 12x13 is past the limit, so nothing is built.
+        assert main(["injection-audit", "--rule", "4", "--amax", "12", "--bmax", "13"]) == 3
         assert built == []
-        assert main(argv + ["23"]) == 0
+        assert main(["injection-audit", "--rule", "4", "--amax", "2", "--bmax", "2"]) == 0
         assert built
         capsys.readouterr()
 
     def test_negative_budget_is_a_usage_error(self, capsys):
-        assert main(["injection-audit", "--amax", "3", "--bmax", "3", "--budget", "-1"]) == 2
-        assert capsys.readouterr().err == "error: need --budget >= 0, got -1\n"
+        # As is any --budget: the limit is fixed.
+        with pytest.raises(SystemExit) as err:
+            main(["injection-audit", "--amax", "3", "--bmax", "3", "--budget", "-1"])
+        assert err.value.code == 2
+        capsys.readouterr()
 
     def test_level_symmetry_under_conjugation(self):
         for a in range(1, 5):

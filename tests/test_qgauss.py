@@ -99,6 +99,29 @@ class TestGaussianRoutes:
                 den = q_factorial(a) * q_factorial(b)
                 assert polycore.div_exact(num, den) == gaussian_quotient(a, b)
 
+    def test_thin_boxes_sum_only_classes_of_two_or_more(self, monkeypatch):
+        # Step i divides by X^i - 1 a polynomial of degree a i + i; a residue
+        # class mod i with one coefficient needs no running sum, so for a = 1
+        # each step sums one class, not i, and for a = 0 none.
+        calls = []
+        accumulate = itertools.accumulate
+        monkeypatch.setattr(itertools, "accumulate", lambda xs: calls.append(1) or accumulate(xs))
+        for a, b, expected in [(1, 50, 50), (5, 50, 1275), (0, 50, 0)]:
+            calls.clear()
+            gaussian_quotient(a, b)
+            assert len(calls) == expected, (a, b)
+
+    def test_thin_box_divisions_match_div_exact(self):
+        # Every division gaussian_quotient(a, b) makes for a <= 1, b <= 200,
+        # against the general long division.
+        for a in (0, 1):
+            out = IntPoly.one()
+            for i in range(1, 201):
+                product = polycore.mul_xm_minus_one(out, a + i)
+                out = polycore.div_exact_xm_minus_one(product, i)
+                assert out == polycore.div_exact(product, IntPoly([-1] + [0] * (i - 1) + [1]))
+                assert out == gaussian_quotient(a, i) == IntPoly([1] * (a * i + 1)), (a, i)
+
 
 class TestLevelCounts:
     def test_examples(self):
@@ -157,6 +180,10 @@ class TestLevelCounts:
         monkeypatch.setattr(qgauss, "combinations_with_replacement", refuse)
         assert main(["gauss", "14", "14", "--method", "enum"]) == 3
         assert capsys.readouterr().err.startswith("budget exceeded: ")
+        # The report's Gaussian grid counts every box in range by the same walk.
+        for amax, bmax in [(12, 13), (13, 13), (1000, 1)]:
+            assert main(["report", "--amax", str(amax), "--bmax", str(bmax)]) == 3
+            assert capsys.readouterr().err.startswith("budget exceeded: ")
         with pytest.raises(AssertionError):
             main(["gauss", "2", "2", "--method", "enum"])
 
