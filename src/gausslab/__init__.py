@@ -1,6 +1,7 @@
 """Exact-arithmetic toolkit for Gaussian polynomials and unimodality checks.
 
-Submodules:
+Import what you need from its submodules; the package itself exports only
+``__version__``.
 
 - ``polycore``: integer polynomials and coefficient-shape tests
   (unimodality, log-concavity, palindromicity, darga, gamma vectors as
@@ -10,24 +11,12 @@ Submodules:
 - ``injectlab``: partitions in a box, candidate level-raising rules, and
   exhaustive failure audits.
 - ``posetlab``: subset lattice with antichain search and exact LYM sums,
-  weak order on permutations, set partitions, Eulerian polynomials.
+  the weak order's inversion polynomial and cover count, set partitions,
+  Eulerian polynomials.
 - ``pathlab``: lattice paths, reflection across the line x - y = c, path counts.
 - ``criteria``: the acceptance checks shared by the test suite and ``report``.
 - ``cli``: the command-line surface.
+- ``errors``: the exceptions that are not ``ValueError``.
 """
-
-from .polycore import IntPoly
-from .qgauss import KOH_RULES
-from .injectlab import AuditReport, BoxedPartition, InjectionRule
-from .posetlab import RankedPoset
-
-__all__ = [
-    "IntPoly",
-    "KOH_RULES",
-    "AuditReport",
-    "BoxedPartition",
-    "InjectionRule",
-    "RankedPoset",
-]
 
 __version__ = "0.1.0"

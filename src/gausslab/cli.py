@@ -27,7 +27,7 @@ import sys
 import tempfile
 
 from . import criteria, injectlab, pathlab, polycore, posetlab, qgauss
-from .errors import EnumerationBudgetExceeded, GausslabError, ZeroPolynomial
+from .errors import EnumerationBudgetExceeded, GausslabError
 from .polycore import IntPoly
 
 SCHEMA_VERSION = 1
@@ -112,7 +112,7 @@ def _cmd_check(args) -> Result:
     poly = _parse_coeffs(args.coeffs)
     if poly.is_zero:
         # Refused whatever the flags: zero has no darga, so no center.
-        raise ZeroPolynomial("check needs a nonzero polynomial")
+        raise ValueError("check needs a nonzero polynomial")
     requested = {
         "unimodal": args.unimodal,
         "log_concave": args.log_concave,
@@ -213,14 +213,14 @@ def _cmd_lym(args) -> Result:
 
 
 def _cmd_bruhat(args) -> Result:
-    poset = posetlab.weak_bruhat(args.n)
-    hist = poset.rank_histogram()
-    holds = hist == list(qgauss.q_factorial(args.n).coeffs)
+    # The weak order's rank is inv, so its rank histogram is the inversion polynomial.
+    hist = posetlab.inversion_polynomial(args.n)
+    holds = hist == qgauss.q_factorial(args.n)
     body = {
         "n": args.n,
-        "rank_histogram": [str(c) for c in hist],
+        "rank_histogram": hist.to_json(),
         "matches_q_factorial": holds,
-        "num_covers": len(poset.covers),
+        "num_covers": posetlab.weak_order_covers(args.n),
     }
     return body, holds
 
@@ -377,8 +377,10 @@ def _gauss_cost(method: str, a: int, b: int, cap) -> tuple[int, ...]:
     # Bits of C(a+b, a), which bounds every coefficient: C(n, m) <= min(2^n, n^m).
     bits = min(a + b, min(a, b) * (a + b).bit_length())
     coeff, slot = 10 + bits // 30, 1 + bits // 8  # a Python int, in 4-byte words; a packed slot
-    if method == "quotient":  # step i of b: (a + 1) i coefficients and i list slices
-        return b * (b + 1) * (48 + (a + 1) * coeff), ((a + 1) * b + 1) * coeff
+    if method == "quotient":  # step i of b: (a + 1) i coefficients, and one list slice for
+        # each of min(i, (a - 1) i + 1) residue classes: i of them, but 1 at a = 1 and 0 at a = 0
+        slices = b * (b + 1) // 2 if a > 1 else a * b
+        return 96 * slices + b * (b + 1) * (a + 1) * coeff, ((a + 1) * b + 1) * coeff
     if method == "pascal":  # b passes over a + 1 packed ints, 48 bytes as objects
         row = b * a * (a + 1) // 2 + a + 1  # slots held: cell k holds k b + 1
         return row * (b + 1) * slot + 48 * (a + 1) * (b + 1), row * slot + 48 * (a + 1)

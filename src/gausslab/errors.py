@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""The exceptions that are not ``ValueError``.
+
+An argument outside a function's domain (the zero polynomial where a darga
+is needed, a full partition, a comparable pair in an antichain, a path that
+misses its line, a walk length of the wrong parity) raises ``ValueError``.
+The classes here mark an inexact division, an overflowed packed slot and a
+command refused by its predicted size.
+"""
 
 
 class GausslabError(Exception):
@@ -9,33 +16,9 @@ class NonExactDivision(GausslabError):
     """Polynomial division left a nonzero remainder."""
 
 
-class ZeroPolynomial(GausslabError):
-    """Operation is undefined on the zero polynomial."""
-
-
 class SlotOverflow(GausslabError):
     """A packed-integer product's coefficients did not fit their slots."""
 
 
 class EnumerationBudgetExceeded(GausslabError):
     """A command's predicted size is past its limit (``cli._admit``, exit 3)."""
-
-
-class NoSuccessor(GausslabError):
-    """Partition already fills its box; no weight-increasing successor exists."""
-
-
-class NotAnAntichain(GausslabError):
-    """Input family contains a comparable pair (stored in ``pair``)."""
-
-    def __init__(self, pair, message=None):
-        self.pair = pair
-        super().__init__(message or f"comparable pair: {pair[0]} <= {pair[1]}")
-
-
-class PathMissesLine(GausslabError):
-    """Path reflection requested about a line the path never touches."""
-
-
-class ParityViolation(GausslabError):
-    """Step count has the wrong parity for the requested endpoint."""

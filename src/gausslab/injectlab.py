@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import NoSuccessor
-
 
 @dataclass(frozen=True)
 class BoxedPartition:
@@ -161,11 +159,11 @@ def _column_fill(p: BoxedPartition) -> BoxedPartition:
 def apply_rule(rule: InjectionRule, p: BoxedPartition) -> Optional[BoxedPartition]:
     """Apply a rule; None means the rule's selection is undefined (a tie).
 
-    Raises NoSuccessor when the partition already fills its box.
+    Raises ValueError when the partition already fills its box.
     """
     a, b = p.box
     if p.weight == a * b:
-        raise NoSuccessor(f"{p.parts} fills its box")
+        raise ValueError(f"{p.parts} fills its box")
     if rule is InjectionRule.COLUMN_FILL:
         return _column_fill(p)
     if rule is InjectionRule.ROW_FILL_TRANSPOSE:

@@ -14,7 +14,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from .errors import ParityViolation, PathMissesLine
 
 Point = tuple[int, int]
 LatticePath = tuple[Point, ...]
@@ -32,20 +31,8 @@ def reflect_path(c: int, path: LatticePath) -> LatticePath:
     """
     last = max((i for i, (x, y) in enumerate(path) if x - y == c), default=None)
     if last is None:
-        raise PathMissesLine(f"path never touches the line x - y = {c}")
+        raise ValueError(f"path never touches the line x - y = {c}")
     return path[: last + 1] + tuple((y + c, x - c) for x, y in path[last + 1 :])
-
-
-def swap_bisector(p: Point, q: Point) -> int:
-    """The c of the line x - y = c bisecting pq, for p and q differing by (1, -1) or (-1, 1).
-
-    The line runs through the midpoint of pq, so c is the mean of the
-    endpoints' x - y; the two values differ by 2, so c is an integer.
-    """
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if (dx, dy) not in ((1, -1), (-1, 1)):
-        raise ValueError(f"endpoints must differ by (1, -1) or (-1, 1), got {(dx, dy)}")
-    return (p[0] - p[1] + q[0] - q[1]) // 2
 
 
 # -- monotone paths and the level-raising reflection ------------------------------
@@ -99,7 +86,8 @@ def monotone_injection(n: int, k: int) -> MonotoneInjection:
     """
     if not 0 <= k <= (n - 1) // 2:
         raise ValueError("need 0 <= k <= (n-1)//2")
-    c = swap_bisector((k, n - k), (k + 1, n - k - 1))
+    # The mean of x - y over the endpoints (k, n-k) and (k+1, n-k-1).
+    c = 2 * k - n + 1
     sources = monotone_paths(n, k)
     target = set(monotone_paths(n, k + 1))
     mapping = tuple((path, reflect_path(c, path)) for path in sources)
@@ -139,14 +127,14 @@ def count_free(a: int, b: int, n: int) -> int:
     if n < 1:
         raise ValueError("need n >= 1")
     if (n - a - b) % 2:
-        raise ParityViolation(f"n = {n} has the wrong parity for endpoint ({a},{b})")
+        raise ValueError(f"n = {n} has the wrong parity for endpoint ({a},{b})")
     return _endpoint_counts(n).get((a, b), 0)
 
 
 def count_free_closed_form(a: int, b: int, n: int) -> int:
     """C(n, (n+a-b)/2) * C(n, (n-a-b)/2), with C(n, m) = 0 outside 0 <= m <= n."""
     if (n - a - b) % 2:
-        raise ParityViolation(f"n = {n} has the wrong parity for endpoint ({a},{b})")
+        raise ValueError(f"n = {n} has the wrong parity for endpoint ({a},{b})")
 
     def safe_comb(n_: int, m: int) -> int:
         return math.comb(n_, m) if 0 <= m <= n_ else 0

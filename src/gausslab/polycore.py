@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import NonExactDivision, ZeroPolynomial
+from .errors import NonExactDivision
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class IntPoly:
     def low_degree(self) -> int:
         """Least exponent with a nonzero coefficient."""
         if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no lowest term")
+            raise ValueError("zero polynomial has no lowest term")
         return next(k for k, c in enumerate(self.coeffs) if c)
 
     def evaluate(self, x):
@@ -346,7 +346,7 @@ def darga(f: PolyLike) -> int:
     """Sum of the lowest and the highest exponents carrying nonzero coefficients."""
     p = as_poly(f)
     if p.is_zero:
-        raise ZeroPolynomial("darga of the zero polynomial is undefined")
+        raise ValueError("darga of the zero polynomial is undefined")
     return p.low_degree + p.degree
 
 
@@ -355,7 +355,7 @@ def darga(f: PolyLike) -> int:
 
 def gamma_decompose(f: PolyLike) -> tuple[int, ...] | None:
     """Unique gamma-vector of f in the X^k (1+X)^(n-2k) basis, n = darga(f), or
-    None when f is not palindromic.  ZeroPolynomial for zero, which has no darga.
+    None when f is not palindromic.  ValueError for zero, which has no darga.
 
     Solves the unitriangular change of basis by peeling the basis elements
     off the low-degree coefficients; integer inputs yield integer gammas
@@ -444,7 +444,7 @@ def square_free_part(f: PolyLike) -> IntPoly:
     """f divided by gcd(f, f'); same root set, all roots simple."""
     p = as_poly(f)
     if p.is_zero:
-        raise ZeroPolynomial("square-free part of zero is undefined")
+        raise ValueError("square-free part of zero is undefined")
     if p.degree < 1:
         return IntPoly.one()
     g = _poly_gcd(p, p.derivative())
@@ -495,7 +495,7 @@ def sturm_chain(f: PolyLike) -> list[IntPoly]:
     """
     p = as_poly(f)
     if p.is_zero:
-        raise ZeroPolynomial("Sturm chain of zero is undefined")
+        raise ValueError("Sturm chain of zero is undefined")
     chain = [p]
     if p.degree >= 1:
         chain.append(p.derivative())
@@ -553,7 +553,7 @@ def is_real_rooted(f: PolyLike) -> bool:
     """
     p = as_poly(f)
     if p.is_zero:
-        raise ZeroPolynomial("real-rootedness of zero is undefined")
+        raise ValueError("real-rootedness of zero is undefined")
     if p.degree <= 1:
         return True
     if _newton_violation(p.coeffs) is not None:

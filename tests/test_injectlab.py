@@ -5,7 +5,6 @@ import pytest
 
 from gausslab import criteria, injectlab
 from gausslab.cli import main
-from gausslab.errors import NoSuccessor
 from gausslab.injectlab import (
     AuditOutcome,
     BoxedPartition,
@@ -204,7 +203,7 @@ class TestApplyRule:
         assert image.parts == (2, 1, 1)
 
     def test_no_successor(self):
-        with pytest.raises(NoSuccessor):
+        with pytest.raises(ValueError, match=r"^\(2, 2\) fills its box$"):
             apply_rule(InjectionRule.COLUMN_FILL, BoxedPartition((2, 2), (2, 2)))
 
     def test_weight_increase_and_validity(self):

@@ -5,7 +5,6 @@ import pytest
 
 from gausslab import pathlab
 from gausslab.cli import main
-from gausslab.errors import ParityViolation, PathMissesLine
 from gausslab.pathlab import (
     count_free,
     count_free_closed_form,
@@ -13,7 +12,6 @@ from gausslab.pathlab import (
     monotone_paths,
     reflect_path,
     sagan_sequence,
-    swap_bisector,
 )
 from gausslab.polycore import IntPoly, is_unimodal
 
@@ -43,7 +41,7 @@ class TestReflection:
         assert reflect_path(0, path3) == ((0, 0), (0, 1), (1, 1), (2, 1), (3, 1))
 
     def test_path_misses_line(self):
-        with pytest.raises(PathMissesLine):
+        with pytest.raises(ValueError, match="^path never touches the line x - y = 5$"):
             reflect_path(5, ((0, 0), (1, 0)))
 
     def test_path_reflection_involution_and_validity(self):
@@ -62,22 +60,20 @@ class TestReflection:
 
 
 class TestSwapBisector:
+    # monotone_injection reflects level k across x - y = 2k - n + 1, the line
+    # that swaps its endpoint (k, n-k) with the next level's, (k+1, n-k-1).
     def test_derived_offset(self):
-        assert swap_bisector((2, 3), (3, 2)) == 0
-        assert swap_bisector((1, 3), (2, 2)) == -1
+        assert monotone_injection(5, 2).offset == 0
+        assert monotone_injection(4, 1).offset == -1
         assert _mirror(0, (2, 3)) == (3, 2)
 
     def test_endpoints_swap(self):
-        # swap_bisector does not re-check this on each call.
-        for x in range(-6, 7):
-            for y in range(-6, 7):
-                for q in ((x + 1, y - 1), (x - 1, y + 1)):
-                    c = swap_bisector((x, y), q)
-                    assert _mirror(c, (x, y)) == q and _mirror(c, q) == (x, y)
-
-    def test_rejects_other_differences(self):
-        with pytest.raises(ValueError):
-            swap_bisector((0, 0), (1, 1))
+        for n in range(1, 13):
+            for k in range((n - 1) // 2 + 1):
+                c = monotone_injection(n, k).offset
+                assert c == 2 * k - n + 1
+                p, q = (k, n - k), (k + 1, n - k - 1)
+                assert _mirror(c, p) == q and _mirror(c, q) == p
 
 
 class TestMonotone:
@@ -128,9 +124,9 @@ class TestFreeWalks:
         assert count_free_closed_form(1, 2, 3) == 3
 
     def test_parity(self):
-        with pytest.raises(ParityViolation):
+        with pytest.raises(ValueError, match=r"^n = 3 has the wrong parity for endpoint \(1,1\)$"):
             count_free(1, 1, 3)
-        with pytest.raises(ParityViolation):
+        with pytest.raises(ValueError, match=r"^n = 4 has the wrong parity for endpoint \(2,1\)$"):
             count_free_closed_form(2, 1, 4)
 
     def test_too_few_steps_gives_zero(self):
