@@ -2,8 +2,10 @@
 
 A partition here is a weakly decreasing tuple of a entries in [0, b]; the
 weight-k level collects the partitions of weight k.  Four candidate rules map
-level k into level k+1; each is audited exhaustively for its first collision
-or undefined input below the middle level.
+level k into level k+1, each by picking from one list, ``increment_candidates``;
+each is audited exhaustively for its first collision or undefined input below
+the middle level.  RowFillTranspose and MinBaseValue pick the same candidate, so
+their audits agree apart from the rule name; their documented claims differ.
 """
 
 from __future__ import annotations
@@ -101,25 +103,17 @@ def conjugate(p: BoxedPartition) -> BoxedPartition:
 # -- selection statistics ------------------------------------------------------
 
 
-def base_value(p: BoxedPartition) -> int:
-    """Base-(b+1) digit value of the parts; injective on the whole box."""
-    radix = p.b + 1
-    value = 0
-    for x in p.parts:
-        value = value * radix + x
-    return value
-
-
 def wt(p: BoxedPartition) -> int:
     """max over positions i (1-based) of i * parts[i]."""
     return max((i + 1) * x for i, x in enumerate(p.parts))
 
 
 def increment_candidates(p: BoxedPartition) -> list[BoxedPartition]:
-    """All valid partitions obtained by adding 1 to a single part.
+    """All valid partitions obtained by adding 1 to a single part, in row order.
 
     These are exactly the partitions of weight+1 dominating p componentwise;
-    the tests cross-check this against a brute-force level scan.
+    the tests cross-check this against a brute-force level scan.  Every rule
+    of ``apply_rule`` picks from this list; it is empty when p fills its box.
     """
     a, b = p.box
     out = []
@@ -148,29 +142,32 @@ RULE_BY_NUMBER = {
 }
 
 
-def _column_fill(p: BoxedPartition) -> BoxedPartition:
-    # Increment the part right after the maximal prefix of full rows.
-    j = 0
-    while j < p.a and p.parts[j] == p.b:
-        j += 1
-    return p.replace_part(j, p.parts[j] + 1)
-
-
 def apply_rule(rule: InjectionRule, p: BoxedPartition) -> Optional[BoxedPartition]:
     """Apply a rule; None means the rule's selection is undefined (a tie).
 
-    Raises ValueError when the partition already fills its box.
+    Every rule picks from ``increment_candidates(p)``: ColumnFill the first
+    candidate, RowFillTranspose and MinBaseValue the last, MaxWt the unique one
+    of largest ``wt``.  Raises ValueError when the partition already fills its box.
+
+    Lemma: row i can grow iff it is the first row of a block of equal parts
+    below b, since its cap is b for i = 0 and parts[i-1] otherwise.
+
+    - ColumnFill grows the row after the prefix of full rows.  That prefix ends
+      just before the first row below b, which starts its block: the first
+      candidate.
+    - MinBaseValue takes the least base-(b+1) value sum parts[i] (b+1)^(a-1-i).
+      Growing row i adds (b+1)^(a-1-i), which is least at the last candidate.
+    - RowFillTranspose is ColumnFill on the conjugate.  Its first non-full row is
+      column m+1 of p, where m is the least part; the new cell lands in row
+      #{i : parts[i] > m}, the first row of the last block: the last candidate.
     """
-    a, b = p.box
-    if p.weight == a * b:
+    candidates = increment_candidates(p)
+    if not candidates:
         raise ValueError(f"{p.parts} fills its box")
     if rule is InjectionRule.COLUMN_FILL:
-        return _column_fill(p)
-    if rule is InjectionRule.ROW_FILL_TRANSPOSE:
-        return conjugate(_column_fill(conjugate(p)))
-    candidates = increment_candidates(p)
-    if rule is InjectionRule.MIN_BASE_VALUE:
-        return min(candidates, key=base_value)
+        return candidates[0]
+    if rule in (InjectionRule.ROW_FILL_TRANSPOSE, InjectionRule.MIN_BASE_VALUE):
+        return candidates[-1]
     if rule is InjectionRule.MAX_WT:
         weights = [wt(c) for c in candidates]
         top = max(weights)

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .polycore import IntPoly
 
-Permutation = tuple[int, ...]
 SetPartition = tuple[tuple[int, ...], ...]
 
 
@@ -102,25 +101,16 @@ def full_layer(n: int, k: int) -> list[tuple[int, ...]]:
 # -- permutations and the weak order --------------------------------------------
 
 
-def check_permutation(word: Sequence[int]) -> Permutation:
-    n = len(word)
-    if sorted(word) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {word}")
-    return tuple(word)
-
-
 def inv(word: Sequence[int]) -> int:
-    """Number of out-of-order pairs i < j with word[i] > word[j]."""
-    w = check_permutation(word)
+    """Number of out-of-order pairs i < j with word[i] > word[j], in any word."""
     return sum(
-        1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
+        1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j]
     )
 
 
 def des(word: Sequence[int]) -> int:
-    """Number of positions i (1 <= i <= n-1) with word[i] > word[i+1]."""
-    w = check_permutation(word)
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    """Number of positions i (1 <= i <= n-1) with word[i] > word[i+1] in any word of length n."""
+    return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 
 
 def weak_order_covers(n: int) -> int:

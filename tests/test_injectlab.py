@@ -15,7 +15,6 @@ from gausslab.injectlab import (
     apply_rule,
     audit,
     audit_all,
-    base_value,
     check_claim,
     conjugate,
     enumerate_box,
@@ -140,18 +139,47 @@ class TestMatrixConjugate:
                     assert conjugate(p).weight == p.weight
 
 
+def _base_value(p):
+    """Base-(b+1) digit value of the parts, first part most significant."""
+    value = 0
+    for x in p.parts:
+        value = value * (p.b + 1) + x
+    return value
+
+
+# The paper's three definitions, written out as references for apply_rule.
+
+
+def _column_fill(p):
+    """Grow the row right after the maximal prefix of full rows."""
+    j = 0
+    while p.parts[j] == p.b:
+        j += 1
+    return p.replace_part(j, p.parts[j] + 1)
+
+
+def _row_fill_transpose(p):
+    """ColumnFill on the transposed box, carried back."""
+    return conjugate(_column_fill(conjugate(p)))
+
+
+def _min_base_value(p):
+    """The candidate of least base value."""
+    return min(increment_candidates(p), key=_base_value)
+
+
 class TestSelectionStatistics:
     def test_base_value(self):
         # digits in base b+1: (1,1) -> 4 and (2,0) -> 6 when b = 2
-        assert base_value(BoxedPartition((1, 1), (2, 2))) == 4
-        assert base_value(BoxedPartition((2, 0), (2, 2))) == 6
+        assert _base_value(BoxedPartition((1, 1), (2, 2))) == 4
+        assert _base_value(BoxedPartition((2, 0), (2, 2))) == 6
 
     def test_base_value_injective(self):
-        # MinBaseValue takes min(candidates, key=base_value) unchecked: the
+        # _min_base_value takes min(candidates, key=_base_value) unchecked: the
         # candidates share a box, so their least base value is unique.
         for a in range(1, 7):
             for b in range(1, 7):
-                values = [base_value(p) for p in enumerate_box(a, b)]
+                values = [_base_value(p) for p in enumerate_box(a, b)]
                 assert len(set(values)) == len(values)
 
     def test_wt(self):
@@ -205,6 +233,25 @@ class TestApplyRule:
     def test_no_successor(self):
         with pytest.raises(ValueError, match=r"^\(2, 2\) fills its box$"):
             apply_rule(InjectionRule.COLUMN_FILL, BoxedPartition((2, 2), (2, 2)))
+
+    def test_picks_match_the_definitions(self):
+        # Each picking rule equals its definition on every non-full partition
+        # of every box up to 8x8.
+        references = {
+            InjectionRule.COLUMN_FILL: _column_fill,
+            InjectionRule.ROW_FILL_TRANSPOSE: _row_fill_transpose,
+            InjectionRule.MIN_BASE_VALUE: _min_base_value,
+        }
+        checked = 0
+        for a in range(1, 9):
+            for b in range(1, 9):
+                for p in enumerate_box(a, b):
+                    if p.weight == a * b:
+                        continue
+                    checked += 1
+                    for rule, reference in references.items():
+                        assert apply_rule(rule, p) == reference(p), (rule, p.parts)
+        assert checked == 48538
 
     def test_weight_increase_and_validity(self):
         for a in range(1, 5):
