@@ -16,7 +16,11 @@ Import what you need from its submodules; the package itself exports only
 - ``pathlab``: lattice paths, reflection across the line x - y = c, path counts.
 - ``criteria``: the acceptance checks shared by the test suite and ``report``.
 - ``cli``: the command-line surface.
-- ``errors``: the exceptions that are not ``ValueError``.
+
+The library raises only built-in exceptions: ``ValueError`` for an argument
+outside a function's domain, an inexact division among them, ``OverflowError``
+for a packed coefficient that outgrew its slot, and ``ZeroDivisionError`` for a
+division by the zero polynomial.
 """
 
 __version__ = "0.1.0"

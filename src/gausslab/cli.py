@@ -6,14 +6,15 @@ decimal strings, no timestamps), so identical invocations are byte-identical.
 
 Each handler returns its JSON fields and whether its checked property holds;
 ``main`` alone writes the one JSON document, with ``v`` and ``command``, to stdout
-or ``--out`` and picks the exit code: 0 the property holds, 1 it is false, 2 a
-usage, domain or output error, 3 a predicted size past its limit, refused before
-any handler runs (``_admit``).  ``report`` and ``injection-audit`` print one
-injections section and fail on its verdict.  ``check`` tests symmetry about half
-the darga, its one center.  Exit 2 covers an empty box range, ``gauss --koh-rule``
-or ``--terms`` without ``--method koh``, ``stirling n`` and ``bruhat n`` with n < 1,
-``lym n`` with n < 0, malformed or too deeply nested JSON, ``check`` of the zero
-polynomial, which has no darga, and an ``--out`` file that cannot be written.
+and picks the exit code: 0 the property holds, 1 it is false, 2 a usage, domain or
+output error (``ValueError``, ``OverflowError`` or ``OSError``), 3 a predicted size
+past its limit, refused before any handler runs (``_admit``).  ``report`` and
+``injection-audit`` print one injections section and fail on its verdict.
+``check`` tests symmetry about half the darga, its one center.  Exit 2 covers an
+empty box range, ``gauss --koh-rule`` or ``--terms`` without ``--method koh``,
+``stirling n`` and ``bruhat n`` with n < 1, ``lym n`` with n < 0, malformed or too
+deeply nested JSON, ``check`` of the zero polynomial, which has no darga, an
+overflowed packed slot, and a stdout that cannot be written.
 """
 
 from __future__ import annotations
@@ -21,49 +22,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import stat
 import sys
-import tempfile
 
 from . import criteria, injectlab, pathlab, polycore, posetlab, qgauss
-from .errors import EnumerationBudgetExceeded, GausslabError
 from .polycore import IntPoly
 
 SCHEMA_VERSION = 1
 
 # What a handler returns: its JSON fields and whether its checked property holds.
 Result = tuple[dict, bool]
-
-
-def _file_mode(path: str) -> int:
-    """The mode a replaced file keeps, or what ``open`` would give a new one."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
-def _emit(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        mode = _file_mode(out)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".report-")
-        try:
-            os.chmod(tmp, mode)
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, out)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise OSError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _parse_json(text: str, what: str):
@@ -263,7 +230,7 @@ def _cmd_paths_monotone(args) -> Result:
         "image_count": str(cert.image_count),
         "injective": cert.injective,
         "images_in_target": cert.images_in_target,
-        "line": {"orientation": pathlab.LINE_ORIENTATION, "offset": cert.offset},
+        "line": {"offset": cert.offset},
     }
     if args.show_map:
         body["map"] = [
@@ -396,8 +363,8 @@ def _gauss_cost(method: str, a: int, b: int, cap) -> tuple[int, ...]:
 GAUSS_LIMITS = {m: _gauss_cost(m, a, b, math.inf) for m, (a, b) in GAUSS_ANCHORS.items()}
 
 
-def _admit(args, command: str) -> None:
-    """Refuse ``command`` if a predicted size is past its limit."""
+def _admit(args, command: str) -> str | None:
+    """Why ``command`` is refused, if a predicted size is past its limit; else None."""
     if command in ("report", "injection-audit"):
         parts = _box_parts(args.amax, args.bmax, BOX_PARTS_LIMIT)
         bounds = [(parts, BOX_PARTS_LIMIT, f"at most {BOX_PARTS_LIMIT} parts")]
@@ -415,7 +382,8 @@ def _admit(args, command: str) -> None:
         bounds = [(args.n, limit, f"n <= {limit}")] if limit else []
     for size, limit, what in bounds:
         if size > limit:
-            raise EnumerationBudgetExceeded(f"{command} needs {what}")
+            return f"{command} needs {what}"
+    return None
 
 
 # -- parser ---------------------------------------------------------------------------------
@@ -498,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full verification run as one JSON document")
     p.add_argument("--amax", type=int, default=6)
     p.add_argument("--bmax", type=int, default=6)
-    p.add_argument("--out", default=None, help="write atomically to this file")
     p.set_defaults(handler=_cmd_report)
 
     return parser
@@ -522,13 +489,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser.parse_args(argv)
         command = f"paths {args.paths_command}" if args.command == "paths" else args.command
-        _admit(args, command)
+        refusal = _admit(args, command)
+        if refusal is not None:
+            print(f"budget exceeded: {refusal}", file=sys.stderr)
+            return 3
         body, holds = args.handler(args)
-        _emit({"v": SCHEMA_VERSION, "command": command, **body}, getattr(args, "out", None))
-    except EnumerationBudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (GausslabError, ValueError, OSError) as exc:
+        doc = {"v": SCHEMA_VERSION, "command": command, **body}
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

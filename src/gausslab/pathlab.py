@@ -18,10 +18,6 @@ from itertools import combinations
 Point = tuple[int, int]
 LatticePath = tuple[Point, ...]
 
-# The name certificates give the line x - y = c that reflect_path reflects across.
-LINE_ORIENTATION = "diag-up"
-
-
 def reflect_path(c: int, path: LatticePath) -> LatticePath:
     """Keep the prefix through the last vertex on x - y = c; send each later
     (x, y) to (y + c, x - c), its mirror image across that line.

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import NonExactDivision
-
 
 @dataclass(frozen=True)
 class IntPoly:
@@ -165,7 +163,7 @@ def binomial_power(k: int) -> IntPoly:
 def div_exact(f: PolyLike, g: PolyLike) -> IntPoly:
     """Exact quotient f / g over the integers.
 
-    Raises NonExactDivision when g does not divide f exactly (any remainder
+    Raises ValueError when g does not divide f exactly (any remainder
     coefficient nonzero, or a leading-coefficient division leaves a rest).
 
     >>> div_exact([-1, 0, 1], [-1, 1])
@@ -177,7 +175,7 @@ def div_exact(f: PolyLike, g: PolyLike) -> IntPoly:
     if f.is_zero:
         return f
     if f.degree < g.degree:
-        raise NonExactDivision(f"degree {f.degree} < divisor degree {g.degree}")
+        raise ValueError(f"degree {f.degree} < divisor degree {g.degree}")
     rem = list(f.coeffs)
     lead = g.coeffs[-1]
     dg = g.degree
@@ -186,13 +184,13 @@ def div_exact(f: PolyLike, g: PolyLike) -> IntPoly:
         top = rem[k + dg]
         q, r = divmod(top, lead)
         if r:
-            raise NonExactDivision(f"coefficient {top} not divisible by {lead}")
+            raise ValueError(f"coefficient {top} not divisible by {lead}")
         if q:
             quot[k] = q
             for j, c in enumerate(g.coeffs):
                 rem[k + j] -= q * c
     if any(rem):
-        raise NonExactDivision("nonzero remainder")
+        raise ValueError("nonzero remainder")
     return IntPoly(quot)
 
 
@@ -219,7 +217,7 @@ def div_exact_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
 
     From f = q * (X^m - 1), the coefficients obey q[k] = q[k - m] - f[k]
     from the bottom up, and the top m coefficients of f must equal
-    q[k - m]; any mismatch raises NonExactDivision, exactly when
+    q[k - m]; any mismatch raises ValueError, exactly when
     :func:`div_exact` would.
 
     >>> div_exact_xm_minus_one([-1, 0, 0, 1], 3)
@@ -236,7 +234,7 @@ def div_exact_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
     shifted = [0] * m + q
     for k in range(size, len(c)):
         if c[k] != shifted[k]:
-            raise NonExactDivision(f"X^{m} - 1 does not divide: coefficient {k} is {c[k]}")
+            raise ValueError(f"X^{m} - 1 does not divide: coefficient {k} is {c[k]}")
     return IntPoly(q)
 
 

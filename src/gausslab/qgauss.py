@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
-from .errors import SlotOverflow
 from .polycore import (
     IntPoly,
     darga,
@@ -92,7 +91,7 @@ def _unpack_checked(n: int, nb: int, total: int, what: str) -> list[int]:
     """
     coeffs = unpack(n, nb)
     if sum(coeffs) != total:
-        raise SlotOverflow(
+        raise OverflowError(
             f"{what}: packed coefficients sum to {sum(coeffs)}, not {total}, "
             f"at {nb} bytes a slot"
         )
@@ -105,7 +104,7 @@ def gaussian_pascal(a: int, b: int) -> IntPoly:
     The recurrence runs on packed integers (see :func:`_pascal_packed`) with
     slots wide enough for C(a+b, a), which bounds every coefficient of every
     G(a', b') it passes through, and the result is unpacked once.  It keeps
-    no state between calls.  Raises SlotOverflow if the coefficients do not
+    no state between calls.  Raises OverflowError if the coefficients do not
     sum to C(a+b, a).
     """
     if a < 0 or b < 0:
@@ -242,7 +241,7 @@ def koh_terms(a: int, b: int, argument: ArgumentFormula = calibrated_argument) -
     A term's live factors (b_i > 0) come from the q-Pascal recurrence as
     packed integers at one slot width, bounded by the product of their
     C(a_i + b_i, a_i), and are multiplied while packed; the product is
-    unpacked once.  Raises SlotOverflow if its coefficients do not sum to
+    unpacked once.  Raises OverflowError if its coefficients do not sum to
     that product.
     """
     if a < 0 or b < 0:

@@ -38,13 +38,11 @@ def test_readme_quick_tour_runs():
     exec(compile(tour.group(1), "README.md quick tour", "exec"), {})
 
 
-def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
-    # In a scratch directory, since the ``report --out`` example writes a file.
+def test_readme_cli_examples_run(capsys):
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.DOTALL)
     assert block, "README has no CLI sh block"
     lines = [line for line in block.group(1).splitlines() if line.startswith("gausslab ")]
     assert lines
-    monkeypatch.chdir(tmp_path)
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         assert cli.main(argv) == (1 if "# exit 1" in line else 0), line

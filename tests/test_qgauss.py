@@ -8,7 +8,6 @@ import pytest
 
 from gausslab import criteria, injectlab, polycore, qgauss
 from gausslab.cli import main
-from gausslab.errors import SlotOverflow
 from gausslab.polycore import IntPoly, darga, is_log_concave, is_palindromic
 from gausslab.qgauss import (
     KOH_RULES,
@@ -498,13 +497,13 @@ def narrow_slots(monkeypatch, widest):
 class TestSlotSumChecksCanFail:
     def test_pascal(self, monkeypatch):
         narrow_slots(monkeypatch, max(gaussian_quotient(40, 40).coeffs))
-        with pytest.raises(SlotOverflow):
+        with pytest.raises(OverflowError, match="packed coefficients sum"):
             gaussian_pascal(40, 40)
 
     def test_koh(self, monkeypatch):
         widest = max(max(t.poly.coeffs) for t in koh_terms(12, 12) if not t.poly.is_zero)
         narrow_slots(monkeypatch, widest)
-        with pytest.raises(SlotOverflow):
+        with pytest.raises(OverflowError, match="packed coefficients sum"):
             koh_terms(12, 12)
 
     def test_exact_width_passes(self, monkeypatch):
