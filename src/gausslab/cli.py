@@ -61,7 +61,7 @@ def _cmd_gauss(args) -> Result:
     elif args.method == "pascal":
         poly = qgauss.gaussian_pascal(a, b)
     elif args.method == "enum":
-        poly = IntPoly(qgauss.level_counts(a, b))
+        poly = qgauss.level_counts(a, b)
     else:
         rule = args.koh_rule or "calibrated"
         poly, terms = qgauss.koh_sum(a, b, qgauss.KOH_RULES[rule])
@@ -194,8 +194,8 @@ def _cmd_bruhat(args) -> Result:
 
 def _cmd_stirling(args) -> Result:
     row = posetlab.stirling_row(args.n)
-    unimodal = polycore.is_unimodal(IntPoly(row))
-    body = {"n": args.n, "row": [str(c) for c in row], "unimodal": unimodal, "bell": str(sum(row))}
+    unimodal = polycore.is_unimodal(row)
+    body = {"n": args.n, "row": row.to_json(), "unimodal": unimodal, "bell": str(sum(row.coeffs))}
     return body, unimodal
 
 
@@ -242,8 +242,8 @@ def _cmd_paths_monotone(args) -> Result:
 
 def _cmd_paths_sagan(args) -> Result:
     seq = pathlab.sagan_sequence(args.n, args.k)
-    unimodal = polycore.is_unimodal(IntPoly(seq))
-    body = {"n": args.n, "k": args.k, "sequence": [str(c) for c in seq], "unimodal": unimodal}
+    unimodal = polycore.is_unimodal(seq)
+    body = {"n": args.n, "k": args.k, "sequence": seq.to_json(), "unimodal": unimodal}
     return body, unimodal
 
 

@@ -65,7 +65,7 @@ def weight_families_shift_hold(mmax: int) -> bool:
     )
 
 
-def box_level_counts(amax: int, bmax: int) -> dict[tuple[int, int], list[int]]:
+def box_level_counts(amax: int, bmax: int) -> dict[tuple[int, int], IntPoly]:
     """``qgauss.level_counts`` of every box 1 <= a <= amax, 1 <= b <= bmax, keyed by
     (a, b): the one enumeration of each box that the grid and the calibration share."""
     return {
@@ -75,14 +75,13 @@ def box_level_counts(amax: int, bmax: int) -> dict[tuple[int, int], list[int]]:
     }
 
 
-def gaussian_grid(counts: Mapping[tuple[int, int], list[int]]) -> list[dict]:
+def gaussian_grid(counts: Mapping[tuple[int, int], IntPoly]) -> list[dict]:
     """One cell per box of ``counts`` (see ``box_level_counts``), in its order:
     route agreement and shape."""
     grid = []
-    for (a, b), level_counts in counts.items():
+    for (a, b), enum_counts in counts.items():
         quotient = qgauss.gaussian_quotient(a, b)
         pascal = qgauss.gaussian_pascal(a, b)
-        enum_counts = IntPoly(level_counts)
         koh_cal, _ = qgauss.koh_sum(a, b, qgauss.KOH_RULES["calibrated"])
         koh_stated, _ = qgauss.koh_sum(a, b, qgauss.KOH_RULES["stated"])
         grid.append(
@@ -112,7 +111,7 @@ def gaussian_grid_holds(grid: list[dict]) -> bool:
     )
 
 
-def calibration_holds(counts: Mapping[tuple[int, int], list[int]]) -> bool:
+def calibration_holds(counts: Mapping[tuple[int, int], IntPoly]) -> bool:
     """On every box up to 6x6, the ``calibrated`` KOH rule reproduces the
     enumeration and the minimal edit of the printed rule does not (it fails
     somewhere).  Boxes in ``counts`` (see ``box_level_counts``) are not
@@ -125,7 +124,7 @@ def calibration_holds(counts: Mapping[tuple[int, int], list[int]]) -> bool:
 
     def matches(formula: qgauss.ArgumentFormula) -> bool:
         return all(
-            list(qgauss.koh_sum(a, b, formula)[0].coeffs) == level_counts
+            qgauss.koh_sum(a, b, formula)[0] == level_counts
             for (a, b), level_counts in oracle.items()
         )
 
@@ -201,7 +200,7 @@ def stirling_rows_hold(nmax: int) -> bool:
         counts = [0] * n
         for p in posetlab.set_partitions(n):
             counts[len(p) - 1] += 1
-        if not polycore.is_unimodal(IntPoly(row)) or counts != row:
+        if not polycore.is_unimodal(row) or row.coeffs != tuple(counts):
             return False
     return True
 
@@ -268,12 +267,10 @@ def sagan_sequences_hold(nmax: int) -> bool:
     """(C(n, j) C(n, k-j))_j is unimodal for 0 <= k <= n <= nmax, and for k = 2j it
     rises from C(n, j-1) C(n, j+1) to C(n, j)^2 at its centre."""
     for n in range(nmax + 1):
-        if not all(
-            polycore.is_unimodal(IntPoly(pathlab.sagan_sequence(n, k))) for k in range(n + 1)
-        ):
+        if not all(polycore.is_unimodal(pathlab.sagan_sequence(n, k)) for k in range(n + 1)):
             return False
         for j in range(1, n // 2 + 1):
-            seq = pathlab.sagan_sequence(n, 2 * j)
+            seq = pathlab.sagan_sequence(n, 2 * j).coeffs
             if not (
                 seq[j] == math.comb(n, j) ** 2
                 and seq[j - 1] == math.comb(n, j - 1) * math.comb(n, j + 1)

@@ -35,14 +35,6 @@ class BoxedPartition:
             prev = p
 
     @property
-    def a(self) -> int:
-        return self.box[0]
-
-    @property
-    def b(self) -> int:
-        return self.box[1]
-
-    @property
     def weight(self) -> int:
         return sum(self.parts)
 
@@ -259,9 +251,7 @@ def audit(rule: InjectionRule, a: int, b: int) -> AuditReport:
     )
 
 
-def audit_all(
-    max_a: int = 6, max_b: int = 6, rules: tuple[InjectionRule, ...] = tuple(InjectionRule)
-) -> list[AuditReport]:
+def audit_all(max_a: int, max_b: int, rules: tuple[InjectionRule, ...]) -> list[AuditReport]:
     return [
         audit(rule, a, b)
         for rule in rules

@@ -15,6 +15,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
+from .polycore import IntPoly
+
 Point = tuple[int, int]
 LatticePath = tuple[Point, ...]
 
@@ -141,8 +143,8 @@ def count_free_closed_form(a: int, b: int, n: int) -> int:
 # -- the unimodal binomial-product sequence -------------------------------------------
 
 
-def sagan_sequence(n: int, k: int) -> list[int]:
-    """(C(n, j) * C(n, k - j)) for j = 0..k; unimodal for all 0 <= k <= n."""
+def sagan_sequence(n: int, k: int) -> IntPoly:
+    """sum_j C(n, j) C(n, k - j) X^j over j = 0..k; unimodal for all 0 <= k <= n."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return [math.comb(n, j) * math.comb(n, k - j) for j in range(k + 1)]
+    return IntPoly(math.comb(n, j) * math.comb(n, k - j) for j in range(k + 1))

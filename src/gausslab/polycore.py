@@ -5,8 +5,10 @@ rationals appear only inside the gcd of the square-free reduction.
 Real-rootedness is decided in two stages: Newton's inequalities refute it
 from the coefficients alone in linear time, and whatever passes them goes on
 to the square-free reduction and a Sturm count, whose chain is built from
-integer pseudo-remainders.  Values are immutable after construction, so they
-are safe to share across threads.
+integer pseudo-remainders.  Every function here that takes a polynomial takes
+an :class:`IntPoly`; build one from coefficients with ``IntPoly([...])``.
+Values are immutable after construction, so they are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -145,14 +147,6 @@ def _coefficient(item: object) -> int:
     raise ValueError(f"coefficient {item!r} is not an integer or a decimal string")
 
 
-PolyLike = Union[IntPoly, Sequence[int]]
-
-
-def as_poly(f: PolyLike) -> IntPoly:
-    """Coerce a coefficient sequence (lowest degree first) to an IntPoly."""
-    return f if isinstance(f, IntPoly) else IntPoly(f)
-
-
 def binomial_power(k: int) -> IntPoly:
     """(1 + X)^k via the binomial row."""
     if k < 0:
@@ -160,16 +154,15 @@ def binomial_power(k: int) -> IntPoly:
     return IntPoly(math.comb(k, i) for i in range(k + 1))
 
 
-def div_exact(f: PolyLike, g: PolyLike) -> IntPoly:
+def div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
     """Exact quotient f / g over the integers.
 
     Raises ValueError when g does not divide f exactly (any remainder
     coefficient nonzero, or a leading-coefficient division leaves a rest).
 
-    >>> div_exact([-1, 0, 1], [-1, 1])
+    >>> div_exact(IntPoly([-1, 0, 1]), IntPoly([-1, 1]))
     IntPoly((1, 1))
     """
-    f, g = as_poly(f), as_poly(g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
@@ -197,22 +190,22 @@ def div_exact(f: PolyLike, g: PolyLike) -> IntPoly:
 # -- linear-time kernels for the binomial X^m - 1 ------------------------------
 
 
-def mul_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
+def mul_xm_minus_one(f: IntPoly, m: int) -> IntPoly:
     """f * (X^m - 1) in one shift-subtract pass, O(deg f + m).
 
-    >>> mul_xm_minus_one([1, 1], 2)
+    >>> mul_xm_minus_one(IntPoly([1, 1]), 2)
     IntPoly((-1, -1, 1, 1))
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    c = as_poly(f).coeffs
+    c = f.coeffs
     out = [0] * m + list(c)
     for k, v in enumerate(c):
         out[k] -= v
     return IntPoly(out)
 
 
-def div_exact_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
+def div_exact_xm_minus_one(f: IntPoly, m: int) -> IntPoly:
     """Exact quotient f / (X^m - 1) by strided running sums, O(deg f).
 
     From f = q * (X^m - 1), the coefficients obey q[k] = q[k - m] - f[k]
@@ -220,12 +213,12 @@ def div_exact_xm_minus_one(f: PolyLike, m: int) -> IntPoly:
     q[k - m]; any mismatch raises ValueError, exactly when
     :func:`div_exact` would.
 
-    >>> div_exact_xm_minus_one([-1, 0, 0, 1], 3)
+    >>> div_exact_xm_minus_one(IntPoly([-1, 0, 0, 1]), 3)
     IntPoly((1,))
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    c = as_poly(f).coeffs
+    c = f.coeffs
     size = max(len(c) - m, 0)
     q = [-v for v in c[:size]]
     # A residue class r >= size - m holds one coefficient, already its own sum.
@@ -292,12 +285,12 @@ def unpack(n: int, nb: int) -> list[int]:
 # -- sequence shape tests ----------------------------------------------------
 
 
-def is_unimodal(f: PolyLike) -> bool:
+def is_unimodal(f: IntPoly) -> bool:
     """True iff the coefficients weakly rise then weakly fall.
 
     The zero polynomial and constants are unimodal (vacuous peak).
     """
-    a = as_poly(f).coeffs
+    a = f.coeffs
     i = 0
     while i + 1 < len(a) and a[i] <= a[i + 1]:
         i += 1
@@ -306,14 +299,14 @@ def is_unimodal(f: PolyLike) -> bool:
     return i >= len(a) - 1
 
 
-def mode(f: PolyLike) -> int | None:
+def mode(f: IntPoly) -> int | None:
     """Least peak index of a unimodal polynomial; None when not unimodal.
 
     Also None for the zero polynomial, which is unimodal but has no
     coefficient index.
     """
-    a = as_poly(f).coeffs
-    if not a or not is_unimodal(a):
+    a = f.coeffs
+    if not a or not is_unimodal(f):
         return None
     j = len(a) - 1
     while j > 0 and a[j - 1] >= a[j]:
@@ -321,13 +314,13 @@ def mode(f: PolyLike) -> int | None:
     return j
 
 
-def is_log_concave(f: PolyLike) -> bool:
+def is_log_concave(f: IntPoly) -> bool:
     """a_k^2 >= a_{k-1} * a_{k+1} for all internal indices of the stored sequence."""
-    a = as_poly(f).coeffs
+    a = f.coeffs
     return all(a[k] * a[k] >= a[k - 1] * a[k + 1] for k in range(1, len(a) - 1))
 
 
-def is_palindromic(f: PolyLike) -> bool:
+def is_palindromic(f: IntPoly) -> bool:
     """True iff a_k = a_{d-k} for every k, where d = darga(f): f reads the same
     from its lowest nonzero coefficient to its highest (center d/2).
 
@@ -335,23 +328,21 @@ def is_palindromic(f: PolyLike) -> bool:
     must pair with nonzero coefficients; so X^2 + X^3 is symmetric about 5/2,
     beyond deg/2.  The zero polynomial, which has no darga, is palindromic.
     """
-    p = as_poly(f)
-    support = () if p.is_zero else p.coeffs[p.low_degree:]
+    support = () if f.is_zero else f.coeffs[f.low_degree:]
     return support == support[::-1]
 
 
-def darga(f: PolyLike) -> int:
+def darga(f: IntPoly) -> int:
     """Sum of the lowest and the highest exponents carrying nonzero coefficients."""
-    p = as_poly(f)
-    if p.is_zero:
+    if f.is_zero:
         raise ValueError("darga of the zero polynomial is undefined")
-    return p.low_degree + p.degree
+    return f.low_degree + f.degree
 
 
 # -- gamma decomposition -----------------------------------------------------
 
 
-def gamma_decompose(f: PolyLike) -> tuple[int, ...] | None:
+def gamma_decompose(f: IntPoly) -> tuple[int, ...] | None:
     """Unique gamma-vector of f in the X^k (1+X)^(n-2k) basis, n = darga(f), or
     None when f is not palindromic.  ValueError for zero, which has no darga.
 
@@ -361,18 +352,17 @@ def gamma_decompose(f: PolyLike) -> tuple[int, ...] | None:
     low half of the residual zeroes all of it, since the input and every
     basis element are palindromic about n/2.
 
-    >>> gamma_decompose([1, 4, 1])
+    >>> gamma_decompose(IntPoly([1, 4, 1]))
     (1, 2)
-    >>> gamma_decompose([0, 1, 1])
+    >>> gamma_decompose(IntPoly([0, 1, 1]))
     (0, 1)
-    >>> gamma_decompose([1, 2]) is None
+    >>> gamma_decompose(IntPoly([1, 2])) is None
     True
     """
-    p = as_poly(f)
-    if not is_palindromic(p):
+    if not is_palindromic(f):
         return None
-    n = darga(p)
-    residual = list(p.coeffs) + [0] * (n + 1 - len(p.coeffs))
+    n = darga(f)
+    residual = list(f.coeffs) + [0] * (n + 1 - len(f.coeffs))
     gammas = []
     for k in range(n // 2 + 1):
         g = residual[k]
@@ -438,15 +428,14 @@ def _poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return _primitive_from_fractions(a)
 
 
-def square_free_part(f: PolyLike) -> IntPoly:
+def square_free_part(f: IntPoly) -> IntPoly:
     """f divided by gcd(f, f'); same root set, all roots simple."""
-    p = as_poly(f)
-    if p.is_zero:
+    if f.is_zero:
         raise ValueError("square-free part of zero is undefined")
-    if p.degree < 1:
+    if f.degree < 1:
         return IntPoly.one()
-    g = _poly_gcd(p, p.derivative())
-    return div_exact(p, g)
+    g = _poly_gcd(f, f.derivative())
+    return div_exact(f, g)
 
 
 def _sign_variations(values: Iterable[int]) -> int:
@@ -483,7 +472,7 @@ def _primitive_prem(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
     return IntPoly(c // g for c in r)
 
 
-def sturm_chain(f: PolyLike) -> list[IntPoly]:
+def sturm_chain(f: IntPoly) -> list[IntPoly]:
     """Standard Sturm sequence p0 = f, p1 = f', p_{i+1} = -rem(p_{i-1}, p_i).
 
     Each later member is the primitive integer polynomial positively
@@ -491,12 +480,11 @@ def sturm_chain(f: PolyLike) -> list[IntPoly]:
     scaling never changes sign variations, and keeping the sign of the
     remainder itself is what makes the chain a Sturm chain.
     """
-    p = as_poly(f)
-    if p.is_zero:
+    if f.is_zero:
         raise ValueError("Sturm chain of zero is undefined")
-    chain = [p]
-    if p.degree >= 1:
-        chain.append(p.derivative())
+    chain = [f]
+    if f.degree >= 1:
+        chain.append(f.derivative())
         while chain[-1].degree >= 1:
             nxt = _primitive_prem(chain[-2].coeffs, chain[-1].coeffs)
             if nxt.is_zero:
@@ -540,7 +528,7 @@ def _newton_violation(coeffs: Sequence[int]) -> int | None:
     return None
 
 
-def is_real_rooted(f: PolyLike) -> bool:
+def is_real_rooted(f: IntPoly) -> bool:
     """True iff every complex root is real; decided exactly, in two stages.
 
     First Newton's inequalities (:func:`_newton_violation`): a violation
@@ -549,14 +537,13 @@ def is_real_rooted(f: PolyLike) -> bool:
     and counted by Sturm: f is real-rooted iff its square-free part has as
     many distinct real roots as its degree.
     """
-    p = as_poly(f)
-    if p.is_zero:
+    if f.is_zero:
         raise ValueError("real-rootedness of zero is undefined")
-    if p.degree <= 1:
+    if f.degree <= 1:
         return True
-    if _newton_violation(p.coeffs) is not None:
+    if _newton_violation(f.coeffs) is not None:
         return False
-    g = square_free_part(p)
+    g = square_free_part(f)
     return _count_real_roots_square_free(g) == g.degree
 
 
@@ -574,17 +561,16 @@ def boros_moll_P(m: int, r: int) -> IntPoly:
     return binomial_power(m + 1) - binomial_power(r)
 
 
-def shift_by_one(f: PolyLike) -> IntPoly:
+def shift_by_one(f: IntPoly) -> IntPoly:
     """f(X + 1) by exact binomial expansion (Horner in X + 1)."""
-    p = as_poly(f)
     one_plus_x = IntPoly((1, 1))
     acc = IntPoly.zero()
-    for c in reversed(p.coeffs):
+    for c in reversed(f.coeffs):
         acc = acc * one_plus_x + IntPoly((c,))
     return acc
 
 
-def decompose_shift(f: PolyLike) -> tuple[int, ...] | None:
+def decompose_shift(f: IntPoly) -> tuple[int, ...] | None:
     """First-difference weights (a_0, a_1 - a_0, ..., a_n - a_{n-1}), or None
     when a coefficient of f is negative or smaller than the one before it.
 
@@ -592,11 +578,11 @@ def decompose_shift(f: PolyLike) -> tuple[int, ...] | None:
     exact identity X * f(X+1) = sum_k (a_k - a_{k-1}) * P_{n,k}(X) with
     P from :func:`boros_moll_P`.
 
-    >>> decompose_shift([1, 1, 3])
+    >>> decompose_shift(IntPoly([1, 1, 3]))
     (1, 0, 2)
-    >>> decompose_shift([2, 1]) is None
+    >>> decompose_shift(IntPoly([2, 1])) is None
     True
     """
-    a = as_poly(f).coeffs
+    a = f.coeffs
     weights = tuple(a[k] - (a[k - 1] if k else 0) for k in range(len(a)))
     return weights if all(w >= 0 for w in weights) else None

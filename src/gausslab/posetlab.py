@@ -135,9 +135,9 @@ def inversion_polynomial(n: int) -> IntPoly:
 # -- set partitions and Stirling numbers ----------------------------------------
 
 
-def stirling_row(n: int) -> list[int]:
-    """(S(n, 1), ..., S(n, n)) by the recurrence S(m,k) = k S(m-1,k) + S(m-1,k-1),
-    one row of the triangle at a time."""
+def stirling_row(n: int) -> IntPoly:
+    """sum_k S(n, k + 1) X^k, the row S(n, 1), ..., S(n, n) lowest first, by the
+    recurrence S(m,k) = k S(m-1,k) + S(m-1,k-1), one row of the triangle at a time."""
     if n < 1:
         raise ValueError("need n >= 1")
     row = [1]  # S(1, 1)
@@ -146,7 +146,7 @@ def stirling_row(n: int) -> list[int]:
             (j + 1) * (row[j] if j < len(row) else 0) + (row[j - 1] if j >= 1 else 0)
             for j in range(m)
         ]
-    return row
+    return IntPoly(row)
 
 
 def set_partitions(n: int) -> Iterator[SetPartition]:

@@ -114,19 +114,18 @@ def gaussian_pascal(a: int, b: int) -> IntPoly:
     return IntPoly(_unpack_checked(_pascal_packed(a, b, nb), nb, total, f"G({a},{b})"))
 
 
-def level_counts(a: int, b: int) -> list[int]:
-    """(c_0, ..., c_ab): partitions in the (a, b) box counted by weight.
+def level_counts(a: int, b: int) -> IntPoly:
+    """sum_k c_k X^k, with c_k the partitions of weight k in the (a, b) box.
 
-    Computed by direct enumeration; equals the coefficient sequence of
-    gaussian_quotient(a, b) and is palindromic.  A partition in the box is a
-    multiset of a parts from 0..b, so ``combinations_with_replacement`` walks
-    the box on one reused tuple and ``Counter`` tallies the weights, both at
-    C level; the tally needs no order.
+    Computed by direct enumeration; equals gaussian_quotient(a, b) and is
+    palindromic.  A partition in the box is a multiset of a parts from 0..b,
+    so ``combinations_with_replacement`` walks the box on one reused tuple and
+    ``Counter`` tallies the weights, both at C level; the tally needs no order.
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
     weights = Counter(map(sum, combinations_with_replacement(range(b + 1), a)))
-    return [weights[k] for k in range(a * b + 1)]
+    return IntPoly(weights[k] for k in range(a * b + 1))
 
 
 # -- multiplicity vectors and term assembly -------------------------------------

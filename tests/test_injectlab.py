@@ -27,7 +27,7 @@ from gausslab.injectlab import (
 class TestBoxedPartition:
     def test_valid(self):
         p = BoxedPartition((2, 1), (2, 3))
-        assert p.weight == 3 and p.a == 2 and p.b == 3
+        assert p.weight == 3 and p.box == (2, 3)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ class TestEnumeration:
 
 def _matrix(p):
     """0/1 matrix with a rows of width b; row i carries parts[i] leading ones."""
-    return tuple(tuple(int(j < part) for j in range(p.b)) for part in p.parts)
+    return tuple(tuple(int(j < part) for j in range(p.box[1])) for part in p.parts)
 
 
 class TestMatrixConjugate:
@@ -143,7 +143,7 @@ def _base_value(p):
     """Base-(b+1) digit value of the parts, first part most significant."""
     value = 0
     for x in p.parts:
-        value = value * (p.b + 1) + x
+        value = value * (p.box[1] + 1) + x
     return value
 
 
@@ -153,7 +153,7 @@ def _base_value(p):
 def _column_fill(p):
     """Grow the row right after the maximal prefix of full rows."""
     j = 0
-    while p.parts[j] == p.b:
+    while p.parts[j] == p.box[1]:
         j += 1
     return p.replace_part(j, p.parts[j] + 1)
 
@@ -429,13 +429,13 @@ class TestClaims:
         assert c.verdict is ClaimVerdict.NOT_APPLICABLE
 
     def test_claim_judges_the_audit_it_is_given(self):
-        for r in audit_all(4, 4):
+        for r in audit_all(4, 4, tuple(InjectionRule)):
             c = check_claim(r)
             assert c.first_failure is r
             assert (c.rule, c.box) == (r.rule, r.box)
 
     def test_grid_complete_and_stable(self):
-        once = [check_claim(r) for r in audit_all(4, 4)]
-        twice = [check_claim(r) for r in audit_all(4, 4)]
+        once = [check_claim(r) for r in audit_all(4, 4, tuple(InjectionRule))]
+        twice = [check_claim(r) for r in audit_all(4, 4, tuple(InjectionRule))]
         assert [c.verdict for c in once] == [c.verdict for c in twice]
         assert len(once) == 4 * 4 * 4

@@ -64,19 +64,19 @@ class TestIntPoly:
 
 class TestDivExact:
     def test_basic(self):
-        assert div_exact([-1, 0, 1], [-1, 1]).coeffs == (1, 1)
+        assert div_exact(IntPoly([-1, 0, 1]), IntPoly([-1, 1])).coeffs == (1, 1)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree 1 < divisor degree 2"):
-            div_exact([1, 1], [1, 1, 1])
+            div_exact(IntPoly([1, 1]), IntPoly([1, 1, 1]))
 
     def test_nonzero_remainder(self):
         with pytest.raises(ValueError, match="nonzero remainder"):
-            div_exact([1, 0, 1], [1, 1])
+            div_exact(IntPoly([1, 0, 1]), IntPoly([1, 1]))
 
     def test_non_integer_quotient(self):
         with pytest.raises(ValueError, match="coefficient 1 not divisible by 2"):
-            div_exact([0, 1], [0, 2])
+            div_exact(IntPoly([0, 1]), IntPoly([0, 2]))
 
     def test_round_trip(self):
         f = IntPoly([3, -1, 4, 1, -5])
@@ -84,72 +84,72 @@ class TestDivExact:
         assert div_exact(f * g, g) == f
 
     def test_zero_dividend(self):
-        assert div_exact(IntPoly(), [1, 1]).is_zero
+        assert div_exact(IntPoly(), IntPoly([1, 1])).is_zero
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            div_exact([1, 1], [])
+            div_exact(IntPoly([1, 1]), IntPoly())
 
 
 class TestUnimodalMode:
     def test_examples(self):
-        assert is_unimodal([1, 1, 2, 1, 1]) and mode([1, 1, 2, 1, 1]) == 2
-        assert is_unimodal([1, 4, 6, 4, 1]) and mode([1, 4, 6, 4, 1]) == 2
-        assert not is_unimodal([1, 0, 1])
-        assert mode([1, 0, 1]) is None
+        assert is_unimodal(IntPoly([1, 1, 2, 1, 1])) and mode(IntPoly([1, 1, 2, 1, 1])) == 2
+        assert is_unimodal(IntPoly([1, 4, 6, 4, 1])) and mode(IntPoly([1, 4, 6, 4, 1])) == 2
+        assert not is_unimodal(IntPoly([1, 0, 1]))
+        assert mode(IntPoly([1, 0, 1])) is None
 
     def test_degenerate(self):
-        assert is_unimodal([])
-        assert is_unimodal([7])
-        assert mode([7]) == 0
-        assert mode([]) is None
+        assert is_unimodal(IntPoly())
+        assert is_unimodal(IntPoly([7]))
+        assert mode(IntPoly([7])) == 0
+        assert mode(IntPoly()) is None
 
     def test_plateau_takes_least_index(self):
-        assert mode([0, 3, 3, 1]) == 1
-        assert mode([3, 3, 1]) == 0
-        assert mode([1, 2, 2, 1]) == 1
+        assert mode(IntPoly([0, 3, 3, 1])) == 1
+        assert mode(IntPoly([3, 3, 1])) == 0
+        assert mode(IntPoly([1, 2, 2, 1])) == 1
 
     def test_monotone_sequences(self):
-        assert mode([1, 2, 3]) == 2
-        assert mode([3, 2, 1]) == 0
+        assert mode(IntPoly([1, 2, 3])) == 2
+        assert mode(IntPoly([3, 2, 1])) == 0
 
 
 class TestLogConcave:
     def test_examples(self):
-        assert not is_log_concave([1, 1, 2, 1, 1])
-        assert is_log_concave([1, 2, 1])
-        assert is_log_concave([1, 1, 1, 1])
+        assert not is_log_concave(IntPoly([1, 1, 2, 1, 1]))
+        assert is_log_concave(IntPoly([1, 2, 1]))
+        assert is_log_concave(IntPoly([1, 1, 1, 1]))
 
     def test_binomial_row(self):
-        assert is_log_concave([math.comb(8, k) for k in range(9)])
+        assert is_log_concave(IntPoly([math.comb(8, k) for k in range(9)]))
 
 
 class TestPalindromicDarga:
     def test_examples(self):
-        assert is_palindromic([1, 1, 2, 1, 1])
-        assert not is_palindromic([1, 2])
-        assert darga([0, 0, 1, 1]) == 5
+        assert is_palindromic(IntPoly([1, 1, 2, 1, 1]))
+        assert not is_palindromic(IntPoly([1, 2]))
+        assert darga(IntPoly([0, 0, 1, 1])) == 5
 
     def test_center_beyond_degree(self):
         # X^2 + X^3 is symmetric about its darga 5 / 2 even though its degree is 3;
         # as a list padded to its degree it is not.
-        assert darga([0, 0, 1, 1]) == 5
-        assert is_palindromic([0, 0, 1, 1])
-        assert is_palindromic([0, 1, 2, 1])
-        assert not is_palindromic([0, 0, 1, 2])
+        assert darga(IntPoly([0, 0, 1, 1])) == 5
+        assert is_palindromic(IntPoly([0, 0, 1, 1]))
+        assert is_palindromic(IntPoly([0, 1, 2, 1]))
+        assert not is_palindromic(IntPoly([0, 0, 1, 2]))
 
     def test_degree_exceeds_center(self):
         # The support must mirror itself: 1 + X + 2X^2 mirrors about no center.
-        assert not is_palindromic([1, 1, 2])
-        assert not is_palindromic([2, 1, 1, 0, 0])
-        assert not is_palindromic([0, 1, 1, 1, 0, 2])
+        assert not is_palindromic(IntPoly([1, 1, 2]))
+        assert not is_palindromic(IntPoly([2, 1, 1, 0, 0]))
+        assert not is_palindromic(IntPoly([0, 1, 1, 1, 0, 2]))
 
     def test_zero_polynomial(self):
-        assert is_palindromic([])
+        assert is_palindromic(IntPoly())
         with pytest.raises(ValueError, match="^darga of the zero polynomial is undefined$"):
-            darga([])
+            darga(IntPoly())
         with pytest.raises(ValueError, match="^darga of the zero polynomial is undefined$"):
-            gamma_decompose([])
+            gamma_decompose(IntPoly())
 
     def test_reversal_oracle(self):
         # a_k = a_{d-k}, d = darga, is the same as comparing the list padded to
@@ -159,7 +159,8 @@ class TestPalindromicDarga:
                 n for n in range(len(coeffs) - 1, 2 * len(coeffs))
                 if (padded := coeffs + [0] * (n + 1 - len(coeffs))) == padded[::-1]
             ]
-            assert centers == ([darga(coeffs)] if is_palindromic(coeffs) else [])
+            f = IntPoly(coeffs)
+            assert centers == ([darga(f)] if is_palindromic(f) else [])
 
 
 class TestGamma:
@@ -170,21 +171,22 @@ class TestGamma:
 
     def test_worked_examples(self):
         # 1 + 4X + X^2 = (1+X)^2 + 2X and 1 + X^2 = (1+X)^2 - 2X.
-        assert gamma_decompose([1, 4, 1]) == (1, 2)
-        assert gamma_decompose([1, 0, 1]) == (1, -2)
+        assert gamma_decompose(IntPoly([1, 4, 1])) == (1, 2)
+        assert gamma_decompose(IntPoly([1, 0, 1])) == (1, -2)
         assert gamma_expand((1, 2), 2) == IntPoly([1, 4, 1])
         assert gamma_expand((1, -2), 2) == IntPoly([1, 0, 1])
         # X + X^2 = X (1+X), center 3/2.
-        assert gamma_decompose([0, 1, 1]) == (0, 1)
+        assert gamma_decompose(IntPoly([0, 1, 1])) == (0, 1)
 
     def test_not_palindromic(self):
         # Asymmetric supports, wherever they start: no gamma-vector.
         for coeffs in [[1, 2], [0, 1, 2], [1, 1, 2], [2, 1, 1, 1], [0, 0, 1, 0, 2]]:
-            assert gamma_decompose(coeffs) is None, coeffs
+            assert gamma_decompose(IntPoly(coeffs)) is None, coeffs
 
     def test_reconstruction(self):
         for coeffs in [[1, 1, 2, 1, 1], [0, 1, 1], [2, 5, 5, 2], [0, 0, 3, 1, 3]]:
-            assert gamma_expand(gamma_decompose(coeffs), darga(coeffs)) == IntPoly(coeffs)
+            f = IntPoly(coeffs)
+            assert gamma_expand(gamma_decompose(f), darga(f)) == f
 
     def test_every_small_palindrome_is_exhausted(self):
         # gamma_decompose peels only the low half and does not check that the
@@ -195,8 +197,8 @@ class TestGamma:
                 coeffs = list(half) + list(reversed(half[: (n + 1) // 2]))
                 if not any(coeffs):
                     continue
-                gammas = gamma_decompose(coeffs)
-                assert gamma_expand(gammas, darga(coeffs)) == IntPoly(coeffs), coeffs
+                f = IntPoly(coeffs)
+                assert gamma_expand(gamma_decompose(f), darga(f)) == f, coeffs
 
     def test_manual_vector(self):
         assert gamma_decompose(gamma_expand((1, -1, 2), 4)) == (1, -1, 2)
@@ -217,22 +219,22 @@ def square_free_calls(monkeypatch):
 
 class TestRealRooted:
     def test_examples(self):
-        assert is_real_rooted([1, 2, 1])
-        assert not is_real_rooted([1, 0, 1])
+        assert is_real_rooted(IntPoly([1, 2, 1]))
+        assert not is_real_rooted(IntPoly([1, 0, 1]))
         # 1 + 11X + 11X^2 + X^3 = (1+X)(1 + 10X + X^2), all roots real
-        assert is_real_rooted([1, 11, 11, 1])
+        assert is_real_rooted(IntPoly([1, 11, 11, 1]))
 
     def test_zero_polynomial(self):
         with pytest.raises(ValueError, match="^real-rootedness of zero is undefined$"):
-            is_real_rooted([])
+            is_real_rooted(IntPoly())
 
     def test_constants_and_linears(self):
-        assert is_real_rooted([5])
-        assert is_real_rooted([3, -2])
+        assert is_real_rooted(IntPoly([5]))
+        assert is_real_rooted(IntPoly([3, -2]))
 
     def test_repeated_roots(self):
-        assert is_real_rooted([1, 3, 3, 1])  # (1+X)^3
-        assert is_real_rooted(list((binomial_power(2) * IntPoly([-2, 1])).coeffs))
+        assert is_real_rooted(IntPoly([1, 3, 3, 1]))  # (1+X)^3
+        assert is_real_rooted(binomial_power(2) * IntPoly([-2, 1]))
 
     def test_mixed_complex(self):
         # (X^2 + 1)(X + 1) has one real root out of three.
@@ -241,7 +243,7 @@ class TestRealRooted:
         assert polycore._count_real_roots_square_free(p) == 1
 
     def test_irrational_roots(self):
-        assert is_real_rooted([-2, 0, 1])
+        assert is_real_rooted(IntPoly([-2, 0, 1]))
         assert polycore._count_real_roots_square_free(IntPoly([0, -1, 0, 1])) == 3
 
     def test_square_free_part(self):
@@ -264,11 +266,11 @@ class TestRealRooted:
         assert square_free_calls == [p]
 
     def test_newton_refutes_before_the_reduction(self, square_free_calls):
-        assert not is_real_rooted([1, 0, 1])
+        assert not is_real_rooted(IntPoly([1, 0, 1]))
         assert square_free_calls == []
 
     def test_sturm_chain_shape(self):
-        chain = sturm_chain([1, 11, 11, 1])
+        chain = sturm_chain(IntPoly([1, 11, 11, 1]))
         assert chain[0].degree == 3 and chain[1].degree == 2
         assert all(chain[i].degree > chain[i + 1].degree for i in range(1, len(chain) - 1))
 
@@ -538,12 +540,12 @@ class TestShiftTest:
         assert shift_by_one(f) == binomial_power(4)
 
     def test_small_example(self):
-        assert shift_by_one([1, 1, 1]).coeffs == (3, 3, 1)
-        assert is_unimodal(shift_by_one([1, 1, 1]))
+        assert shift_by_one(IntPoly([1, 1, 1])).coeffs == (3, 3, 1)
+        assert is_unimodal(shift_by_one(IntPoly([1, 1, 1])))
 
     def test_precondition(self):
-        assert decompose_shift([2, 1]) is None
-        assert decompose_shift([-1, 0]) is None
+        assert decompose_shift(IntPoly([2, 1])) is None
+        assert decompose_shift(IntPoly([-1, 0])) is None
         # The shared check reads a broken precondition as a false verdict.
         assert not criteria.shift_identity_holds(IntPoly([2, 1]))
         assert not criteria.shift_identity_holds(IntPoly([-1, 0]))
@@ -586,7 +588,7 @@ class TestWeightFamilies:
         assert criteria.shift_identity_holds(poly)
         transformed = shift_by_one(poly)
         expected = self._binomial_transform(list(poly.coeffs))
-        assert list(transformed.coeffs) == expected
+        assert transformed == IntPoly(expected)
         assert is_unimodal(transformed)
 
     def test_families_are_the_documented_weights(self):

@@ -106,9 +106,9 @@ def test_div_xm_minus_one_agrees_on_any_input(a, m):
 @pytest.mark.parametrize("m", [0, -1, -5])
 def test_xm_minus_one_kernels_reject_m_below_one(m):
     with pytest.raises(ValueError):
-        mul_xm_minus_one([1, 2], m)
+        mul_xm_minus_one(IntPoly([1, 2]), m)
     with pytest.raises(ValueError):
-        div_exact_xm_minus_one([1, 2], m)
+        div_exact_xm_minus_one(IntPoly([1, 2]), m)
 
 
 @given(coeff_lists)
@@ -252,8 +252,9 @@ def test_log_concave_positive_implies_unimodal_exhaustive():
     for length in range(1, 5):
         def rec(prefix):
             if len(prefix) == length:
-                if is_log_concave(prefix):
-                    assert is_unimodal(prefix)
+                f = IntPoly(prefix)
+                if is_log_concave(f):
+                    assert is_unimodal(f)
                 return
             for v in range(1, 5):
                 rec(prefix + [v])
@@ -265,7 +266,7 @@ def test_log_concave_positive_implies_unimodal_random():
     rng = random.Random(99)
     checked = 0
     for _ in range(4000):
-        seq = [rng.randint(1, 40) for _ in range(rng.randint(1, 9))]
+        seq = IntPoly([rng.randint(1, 40) for _ in range(rng.randint(1, 9))])
         if is_log_concave(seq):
             checked += 1
             assert is_unimodal(seq)
@@ -274,7 +275,7 @@ def test_log_concave_positive_implies_unimodal_random():
 
 def test_log_concavity_inequality_needs_contiguous_support():
     # With internal zero runs the bare inequality no longer forces unimodality.
-    seq = [1, 1, 0, 0, 1]
+    seq = IntPoly([1, 1, 0, 0, 1])
     assert is_log_concave(seq)
     assert not is_unimodal(seq)
 
@@ -317,12 +318,12 @@ def test_product_of_log_concave_positive_is_log_concave():
     rng = random.Random(44)
     produced = 0
     while produced < 60:
-        f = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
-        g = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+        f = IntPoly([rng.randint(1, 9) for _ in range(rng.randint(1, 6))])
+        g = IntPoly([rng.randint(1, 9) for _ in range(rng.randint(1, 6))])
         if not (is_log_concave(f) and is_log_concave(g)):
             continue
         produced += 1
-        product = IntPoly(f) * IntPoly(g)
+        product = f * g
         assert is_log_concave(product)
         assert is_unimodal(product)
 
@@ -379,9 +380,10 @@ def test_decompose_shift_weights_are_nonnegative(coeffs):
     # criteria.shift_identity_holds does not re-check the weights: whenever
     # decompose_shift returns weights, they are nonnegative, and it returns
     # them on every nonnegative nondecreasing input and on no other.
-    a = IntPoly(coeffs).coeffs
+    f = IntPoly(coeffs)
+    a = f.coeffs
     nondecreasing = all(0 <= x <= y for x, y in zip((0,) + a, a))
-    weights = decompose_shift(a)
+    weights = decompose_shift(f)
     assert (weights is not None) == nondecreasing
     assert weights is None or all(w >= 0 for w in weights)
 
