@@ -10,7 +10,9 @@ and picks the exit code: 0 the property holds, 1 it is false, 2 a usage, domain 
 output error (``ValueError``, ``OverflowError`` or ``OSError``), 3 a predicted size
 past its limit, refused before any handler runs (``_admit``).  ``report`` and
 ``injection-audit`` print one injections section and fail on its verdict.
-``check`` tests symmetry about half the darga, its one center.  Exit 2 covers an
+``check`` prints the ``criteria.shape_checks`` fields of the tests its flags name
+(all five by default), and ``eulerian`` all of them; symmetry is about half the
+darga, a polynomial's one center.  Exit 2 covers an
 empty box range, ``gauss --koh-rule`` or ``--terms`` without ``--method koh``,
 ``stirling n`` and ``bruhat n`` with n < 1, ``lym n`` with n < 0, malformed or too
 deeply nested JSON, ``check`` of the zero polynomial, which has no darga, an
@@ -80,31 +82,10 @@ def _cmd_check(args) -> Result:
     if poly.is_zero:
         # Refused whatever the flags: zero has no darga, so no center.
         raise ValueError("check needs a nonzero polynomial")
-    requested = {
-        "unimodal": args.unimodal,
-        "log_concave": args.log_concave,
-        "palindromic": args.palindromic,
-        "gamma": args.gamma,
-        "real_rooted": args.real_rooted,
-    }
-    if not any(requested.values()):
-        requested = dict.fromkeys(requested, True)
-    checks: dict = {}
-    if requested["unimodal"]:
-        checks["unimodal"] = polycore.is_unimodal(poly)
-        checks["mode"] = polycore.mode(poly)
-    if requested["log_concave"]:
-        checks["log_concave"] = polycore.is_log_concave(poly)
-    if requested["palindromic"]:
-        checks["palindromic"] = polycore.is_palindromic(poly)
-    if requested["gamma"]:
-        gammas = polycore.gamma_decompose(poly)
-        checks["gamma_nonnegative"] = gammas is not None and min(gammas) >= 0
-        checks["gamma"] = None if gammas is None else [str(g) for g in gammas]
-    if requested["real_rooted"]:
-        checks["real_rooted"] = polycore.is_real_rooted(poly)
+    names = [name for name in criteria.SHAPE_TESTS if getattr(args, name)] or criteria.SHAPE_TESTS
+    checks = criteria.shape_checks(poly, names)
     body = {"coeffs": poly.to_json(), "center": polycore.darga(poly), "checks": checks}
-    return body, not any(value is False for value in checks.values())
+    return body, criteria.holds(checks)
 
 
 # -- injection audits --------------------------------------------------------------
@@ -194,7 +175,7 @@ def _cmd_bruhat(args) -> Result:
 
 def _cmd_stirling(args) -> Result:
     row = posetlab.stirling_row(args.n)
-    unimodal = polycore.is_unimodal(row)
+    unimodal = criteria.shape_checks(row, ["unimodal"])["unimodal"]
     body = {"n": args.n, "row": row.to_json(), "unimodal": unimodal, "bell": str(sum(row.coeffs))}
     return body, unimodal
 
@@ -202,7 +183,7 @@ def _cmd_stirling(args) -> Result:
 def _cmd_eulerian(args) -> Result:
     poly = posetlab.eulerian(args.n)
     checks = criteria.eulerian_checks(poly)
-    return {"n": args.n, "coeffs": poly.to_json(), "checks": checks}, all(checks.values())
+    return {"n": args.n, "coeffs": poly.to_json(), "checks": checks}, criteria.holds(checks)
 
 
 # -- path commands ---------------------------------------------------------------------
@@ -242,7 +223,7 @@ def _cmd_paths_monotone(args) -> Result:
 
 def _cmd_paths_sagan(args) -> Result:
     seq = pathlab.sagan_sequence(args.n, args.k)
-    unimodal = polycore.is_unimodal(seq)
+    unimodal = criteria.shape_checks(seq, ["unimodal"])["unimodal"]
     body = {"n": args.n, "k": args.k, "sequence": seq.to_json(), "unimodal": unimodal}
     return body, unimodal
 
@@ -262,20 +243,18 @@ def _cmd_report(args) -> Result:
         "stirling_rows_unimodal_n_le_8": criteria.stirling_rows_hold(8),
         "eulerian_suite_n_le_7": criteria.eulerian_suite_holds(7),
     }
-    posets["pass"] = criteria.sperner_holds(sperner) and all(
-        value for value in posets.values() if isinstance(value, bool)
-    )
+    posets["pass"] = criteria.sperner_holds(sperner) and criteria.holds(posets)
     paths = {
         "free_walk_counts_match_closed_form": criteria.free_walks_hold(4, 12),
         "monotone_reflection_injective": criteria.monotone_injections_hold(10),
         "binomial_product_sequences_unimodal": criteria.sagan_sequences_hold(16),
     }
-    paths["pass"] = all(paths.values())
+    paths["pass"] = criteria.holds(paths)
     shapes = {
         "g22_unimodal_palindromic_not_log_concave": criteria.g22_shape_holds(),
         "shift_identity_weight_families_m_le_8": criteria.weight_families_shift_hold(8),
     }
-    shapes["pass"] = all(shapes.values())
+    shapes["pass"] = criteria.holds(shapes)
     counts = criteria.box_level_counts(amax, bmax)
     grid = criteria.gaussian_grid(counts)
     calibrated = criteria.calibration_holds(counts)
@@ -410,11 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="coefficient-shape checks for a polynomial")
     p.add_argument("coeffs", help='JSON array of coefficients, e.g. \'["1","1","2","1","1"]\'')
-    p.add_argument("--unimodal", action="store_true")
-    p.add_argument("--log-concave", dest="log_concave", action="store_true")
-    p.add_argument("--palindromic", action="store_true")
-    p.add_argument("--gamma", action="store_true")
-    p.add_argument("--real-rooted", dest="real_rooted", action="store_true")
+    for name in criteria.SHAPE_TESTS:  # --unimodal, --log-concave, ..., --real-rooted
+        p.add_argument("--" + name.replace("_", "-"), action="store_true")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("injection-audit", help="audit the level-raising rules")

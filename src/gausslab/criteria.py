@@ -3,29 +3,56 @@
 Each function returns the verdict, so the acceptance suite and ``gausslab
 report`` run the same check.  A check that both run over a range takes the
 range as a parameter; a check with fixed inputs (the 6x6 calibration range,
-the weight families) owns them.
+the weight families) owns them.  ``shape_checks`` reads the one table of shape
+tests for ``check`` and ``eulerian``, and ``holds`` is every verdict over fields.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import pathlab, polycore, posetlab, qgauss
 from .injectlab import AuditOutcome, AuditReport, ClaimVerdict, InjectionRule, WitnessCheck
 from .polycore import IntPoly
 
 
+def holds(fields: Mapping) -> bool:
+    """True when no value is False, tested by identity: a mode of 0 decides nothing."""
+    return not any(value is False for value in fields.values())
+
+
+def _gamma_fields(f: IntPoly) -> dict:
+    gammas = polycore.gamma_decompose(f)
+    return {
+        "gamma": None if gammas is None else [str(g) for g in gammas],
+        "gamma_nonnegative": gammas is not None and min(gammas) >= 0,
+    }
+
+
+# Each shape test of a nonzero polynomial, by the name of its ``check`` flag, and
+# the JSON fields it decides.  The polycore tests are looked up at call time.
+SHAPE_TESTS = {
+    "unimodal": lambda f: {"unimodal": polycore.is_unimodal(f), "mode": polycore.mode(f)},
+    "log_concave": lambda f: {"log_concave": polycore.is_log_concave(f)},
+    "palindromic": lambda f: {"palindromic": polycore.is_palindromic(f)},
+    "gamma": _gamma_fields,
+    "real_rooted": lambda f: {"real_rooted": polycore.is_real_rooted(f)},
+}
+
+
+def shape_checks(f: IntPoly, names: Iterable[str]) -> dict:
+    """The fields of the ``SHAPE_TESTS`` entries ``names`` on f."""
+    return {key: value for name in names for key, value in SHAPE_TESTS[name](f).items()}
+
+
 def g22_shape_holds() -> bool:
     """G(2, 2) = 1 + X + 2X^2 + X^3 + X^4 is unimodal and palindromic but not
     log-concave, so unimodality cannot be had from log-concavity alone."""
     g = qgauss.gaussian_quotient(2, 2)
-    return (
-        g.coeffs == (1, 1, 2, 1, 1)
-        and polycore.is_unimodal(g)
-        and polycore.is_palindromic(g)
-        and not polycore.is_log_concave(g)
-    )
+    shape = shape_checks(g, ("unimodal", "log_concave", "palindromic"))
+    want = {"unimodal": True, "mode": 2, "log_concave": False, "palindromic": True}
+    return g.coeffs == (1, 1, 2, 1, 1) and shape == want
 
 
 def shift_identity_holds(f: IntPoly) -> bool:
@@ -205,26 +232,18 @@ def stirling_rows_hold(nmax: int) -> bool:
     return True
 
 
-def eulerian_checks(poly: IntPoly) -> dict[str, bool]:
-    """The certificates of A_n, the row of degree n - 1: palindromic, unimodal,
-    real-rooted, coefficients summing to n!, and gamma-nonnegative (false unless
-    palindromic)."""
-    n = poly.degree + 1
-    gammas = polycore.gamma_decompose(poly)
+def eulerian_checks(poly: IntPoly) -> dict:
+    """Every ``shape_checks`` field of A_n, the row of degree n - 1, and whether
+    its coefficients sum to n!."""
     return {
-        "palindromic": gammas is not None,
-        "unimodal": polycore.is_unimodal(poly),
-        "real_rooted": polycore.is_real_rooted(poly),
-        "coefficient_sum_is_factorial": poly.evaluate(1) == math.factorial(n),
-        "gamma_nonnegative": gammas is not None and min(gammas) >= 0,
+        **shape_checks(poly, SHAPE_TESTS),
+        "coefficient_sum_is_factorial": poly.evaluate(1) == math.factorial(poly.degree + 1),
     }
 
 
 def eulerian_suite_holds(nmax: int) -> bool:
     """Every certificate of ``eulerian_checks`` holds for A_n, n = 1..nmax."""
-    return all(
-        all(eulerian_checks(posetlab.eulerian(n)).values()) for n in range(1, nmax + 1)
-    )
+    return all(holds(eulerian_checks(posetlab.eulerian(n))) for n in range(1, nmax + 1))
 
 
 def free_walk_counts(a: int, b: int, steps: int) -> tuple[int, int]:

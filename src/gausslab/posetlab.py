@@ -77,16 +77,20 @@ def max_antichain(n: int) -> SpernerSearch:
 
 
 def lym_sum(antichain: Iterable[Iterable[int]], n: int) -> Fraction:
-    """Exact sum of 1 / C(n, |A|) over a verified antichain of subsets of {1..n}."""
+    """Exact sum of 1 / C(n, |A|) over a verified antichain of distinct subsets of {1..n}."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     subsets = [tuple(subset) for subset in antichain]
     outside = next((x for subset in subsets for x in subset if not 1 <= x <= n), None)
     if outside is not None:
         raise ValueError(f"element {outside} outside 1..{n}")
+    repeated = next((subset for subset in subsets if len(set(subset)) < len(subset)), None)
+    if repeated is not None:
+        raise ValueError(f"subset {repeated} repeats an element")
     # Colex order, largest elements compared first, is the order of the subsets'
-    # bitmasks; in it no subset comes after a proper subset of itself.
-    ordered = sorted(set(map(frozenset, subsets)), key=lambda s: sorted(s, reverse=True))
+    # bitmasks; in it no subset comes after a proper subset of itself, and a
+    # subset listed twice is the comparable pair A <= A.
+    ordered = sorted(map(frozenset, subsets), key=lambda s: sorted(s, reverse=True))
     for s, t in itertools.combinations(ordered, 2):
         if s <= t:
             raise ValueError(f"comparable pair: {tuple(sorted(s))} <= {tuple(sorted(t))}")

@@ -122,6 +122,19 @@ class TestCheck:
         assert checks["unimodal"] and checks["log_concave"] and checks["palindromic"]
         assert checks["real_rooted"] and checks["gamma_nonnegative"]
         assert checks["mode"] == 1
+        # Each flag alone prints exactly the fields of its shape test, valued as above.
+        fields = {
+            "--unimodal": {"unimodal", "mode"},
+            "--log-concave": {"log_concave"},
+            "--palindromic": {"palindromic"},
+            "--gamma": {"gamma", "gamma_nonnegative"},
+            "--real-rooted": {"real_rooted"},
+        }
+        assert set().union(*fields.values()) == set(checks)
+        for flag, keys in fields.items():
+            code, out = run(capsys, "check", '["1","2","1"]', flag)
+            assert code == 0
+            assert json.loads(out)["checks"] == {key: checks[key] for key in keys}, flag
 
     def test_gamma_with_center(self, capsys):
         # The center is the darga: X + X^2 = X (1+X) is symmetric about 3/2.
@@ -326,6 +339,16 @@ class TestPosetCommands:
         assert code == 0
         assert doc["coeffs"] == ["1", "11", "11", "1"]
         assert all(doc["checks"].values())
+
+    def test_eulerian_prints_the_fields_of_check(self, capsys):
+        # eulerian n certifies A_n with check's fields plus the coefficient sum.
+        for n in range(1, 9):
+            code, out = run(capsys, "eulerian", str(n))
+            doc = json.loads(out)
+            check_code, check_out = run(capsys, "check", json.dumps(doc["coeffs"]))
+            assert code == check_code == 0, n
+            checks = json.loads(check_out)["checks"]
+            assert doc["checks"] == {**checks, "coefficient_sum_is_factorial": True}, n
 
 
 class TestPathCommands:
@@ -724,7 +747,10 @@ class TestOverflowedSlotExitsTwo:
 # The injection-audit refusal dates from when the box-range limit became fixed
 # and its line stopped naming a --budget.  The two `paths monotone` entries date
 # from when the line lost its one-valued orientation and kept only its offset.
-# The 8x8 report is the document the benchmark's report workload prints.
+# The 8x8 report is the document the benchmark's report workload prints.  The
+# `eulerian 6` entry dates from when eulerian began to print every field of
+# check; the last two entries were appended then, so earlier ids keep their
+# numbers: a constant, whose mode 0 must not fail check, and A_1.
 GOLDEN = [
     (["gauss", "5", "3"], 0,
      "18d88997aaba130ec951e26ddc7f02f4ddd0e2dbd3a28aad7b08b831724cbdfd"),
@@ -785,7 +811,7 @@ GOLDEN = [
     (["stirling", "6"], 0,
      "83bb8679e87f25614b422c4ea6ca447cae6e8ca1fac5973c6cd371835e0b2fca"),
     (["eulerian", "6"], 0,
-     "ff6b3df8814bf2b84fec91822d7b3996b5f1b13303addc8a02d0b7cd8a1e64aa"),
+     "78d56b61021fac3b71a4adec33e77893471a439c6c20d29f60d2b4e1d485a163"),
     (["paths", "fab", "2", "2", "4"], 0,
      "7e1fb03b21bdcf74e81aa55f78f65c8b2b996ebed9e65bae3ed6af1a18cbba04"),
     (["paths", "fab", "1", "1", "3"], 2,
@@ -802,6 +828,10 @@ GOLDEN = [
      "94ea9f0ff3b47fe4dff055d2edeba2082560fb5cf75f0bbcca7b95215006bade"),
     (["report", "--amax", "8", "--bmax", "8"], 0,
      "d2190ec6ea919bcfbd13938f5cd05b18118028b685b5a2d47c7f55e736667ab6"),
+    (["check", '["5"]'], 0,
+     "9e4148f708ca27d07efc5bfd29e1c9018bc69aab7efd0822e24e996c7e877696"),
+    (["eulerian", "1"], 0,
+     "9acfd9ea7155b10b6bc6bf5dd4d320b67b743b4a26a1f6b8e62b39b1c22c1986"),
 ]
 
 

@@ -83,20 +83,24 @@ class TestLym:
 
     def test_matches_the_bitmask_version(self):
         # The bitmask version lym_sum replaced, on random small families: the
-        # same sum, the same element error and the same pair, first in colex order.
+        # same sum, the same element and repeat errors and the same pair, first in
+        # colex order; a subset listed twice is a pair.
         class Comparable(Exception):
             pass
 
         def mask_version(family, n):
-            masks = set()
+            masks = []
             for subset in family:
                 mask = 0
                 for x in subset:
                     if not 1 <= x <= n:
                         raise ValueError(f"element {x} outside 1..{n}")
                     mask |= 1 << (x - 1)
-                masks.add(mask)
-            masks = sorted(masks)
+                masks.append(mask)
+            for subset, mask in zip(family, masks):
+                if mask.bit_count() < len(subset):
+                    raise ValueError(f"subset {tuple(subset)} repeats an element")
+            masks.sort()
             as_set = lambda m: tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
             for s, t in itertools.combinations(masks, 2):
                 if s & t in (s, t):
@@ -120,8 +124,15 @@ class TestLym:
             ]
             assert outcome(lym_sum, family, n) == outcome(mask_version, family, n), (family, n)
 
-    def test_duplicates_collapse(self):
-        assert lym_sum([[1, 2], [1, 2]], 3) == Fraction(1, 3)
+    def test_repeats_are_refused(self, capsys):
+        # A repeated element or a subset listed twice is no family of distinct sets.
+        for argv, message in [
+            (["lym", "3", "[[1,1]]"], "subset (1, 1) repeats an element"),
+            (["lym", "2", "[[1],[1]]"], "comparable pair: (1,) <= (1,)"),
+        ]:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_empty(self):
         assert lym_sum([], 3) == 0
