@@ -22,6 +22,7 @@ overflowed packed slot, and a stdout that cannot be written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -105,18 +106,15 @@ def _injections(amax: int, bmax: int, rules: tuple) -> dict:
     audits = injectlab.audit_all(amax, bmax, rules)
     claims = [injectlab.check_claim(r) for r in audits]
     return {
-        "audits": [r.to_json_dict() for r in audits],
-        "claims": [c.to_json_dict() for c in claims],
+        "audits": [dataclasses.asdict(r) for r in audits],
+        "claims": [dataclasses.asdict(c) for c in claims],
         "pass": criteria.injections_hold(audits, claims),
     }
 
 
 def _cmd_injection_audit(args) -> Result:
     amax, bmax = _box_range(args)
-    if args.rule == "all":
-        rules = tuple(injectlab.InjectionRule)
-    else:
-        rules = (injectlab.RULE_BY_NUMBER[int(args.rule)],)
+    rules = injectlab.RULES if args.rule == "all" else (injectlab.RULES[int(args.rule) - 1],)
     section = _injections(amax, bmax, rules)
     return {"amax": amax, "bmax": bmax, **section}, section["pass"]
 
@@ -264,7 +262,7 @@ def _cmd_report(args) -> Result:
             "calibration_selects_calibrated_rule_a_b_le_6": calibrated,
             "pass": criteria.gaussian_grid_holds(grid) and calibrated,
         },
-        "injections": _injections(amax, bmax, tuple(injectlab.InjectionRule)),
+        "injections": _injections(amax, bmax, injectlab.RULES),
         "posets": posets,
         "paths": paths,
         "shapes": shapes,

@@ -13,7 +13,7 @@ import math
 from typing import Iterable, Mapping
 
 from . import pathlab, polycore, posetlab, qgauss
-from .injectlab import AuditOutcome, AuditReport, ClaimVerdict, InjectionRule, WitnessCheck
+from .injectlab import AuditReport, WitnessCheck
 from .polycore import IntPoly
 
 
@@ -158,35 +158,34 @@ def calibration_holds(counts: Mapping[tuple[int, int], IntPoly]) -> bool:
     return not matches(qgauss.minimal_edit_argument) and matches(qgauss.KOH_RULES["calibrated"])
 
 
-def _expected_verdict(rule: InjectionRule, a: int, b: int) -> ClaimVerdict:
+def _expected_verdict(rule: str, a: int, b: int) -> str:
     both_sides_two = a >= 2 and b >= 2
     middle = (a * b) // 2
-    if rule is InjectionRule.MAX_WT:
+    if rule == "MaxWt":
         if both_sides_two:
-            return ClaimVerdict.CONFIRMED
+            return "Confirmed"
         # With a side of 1 the claimed input has one candidate, so the rule is
         # defined there; the claim at k = 1 applies only below the middle.
-        return ClaimVerdict.NOT_A_FAILURE if 1 < middle else ClaimVerdict.NOT_APPLICABLE
-    if rule is InjectionRule.MIN_BASE_VALUE:
+        return "NotAFailure" if 1 < middle else "NotApplicable"
+    if rule == "MinBaseValue":
         # The documented pair maps to distinct images: not a failure.
-        applicable, verdict = a >= 3 and b >= 2 and b < middle, ClaimVerdict.NOT_A_FAILURE
+        applicable, verdict = a >= 3 and b >= 2 and b < middle, "NotAFailure"
     else:
         # The fill rules' pair collides at 2b-2 (2a-2 for the transpose).
-        side = b if rule is InjectionRule.COLUMN_FILL else a
-        applicable, verdict = both_sides_two and 2 * side - 2 < middle, ClaimVerdict.CONFIRMED
-    return verdict if applicable else ClaimVerdict.NOT_APPLICABLE
+        side = b if rule == "ColumnFill" else a
+        applicable, verdict = both_sides_two and 2 * side - 2 < middle, "Confirmed"
+    return verdict if applicable else "NotApplicable"
 
 
 def injections_hold(audits: list[AuditReport], claims: list[WitnessCheck]) -> bool:
     """The max-statistic rule ties at k = 1 on (1, 0, ..., 0) in every box with
     both sides >= 2, and every documented claim gets its expected verdict."""
     ties = all(
-        (r.outcome, r.level, r.witnesses)
-        == (AuditOutcome.UNDEFINED, 1, ((1,) + (0,) * (r.box[0] - 1),))
+        (r.outcome, r.k, r.witnesses) == ("Undefined", 1, ((1,) + (0,) * (r.a - 1),))
         for r in audits
-        if r.rule is InjectionRule.MAX_WT and min(r.box) >= 2
+        if r.rule == "MaxWt" and min(r.a, r.b) >= 2
     )
-    return ties and all(c.verdict is _expected_verdict(c.rule, *c.box) for c in claims)
+    return ties and all(c.verdict == _expected_verdict(c.rule, c.a, c.b) for c in claims)
 
 
 def sperner_holds(search: posetlab.SpernerSearch) -> bool:

@@ -6,11 +6,14 @@ level k into level k+1, each by picking from one list, ``increment_candidates``;
 each is audited exhaustively for its first collision or undefined input below
 the middle level.  RowFillTranspose and MinBaseValue pick the same candidate, so
 their audits agree apart from the rule name; their documented claims differ.
+
+Rules, audit outcomes and claim verdicts are the strings that the JSON prints,
+and the fields of ``AuditReport`` and ``WitnessCheck`` are its keys, so
+``dataclasses.asdict`` of a record is its JSON object.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -118,28 +121,17 @@ def increment_candidates(p: BoxedPartition) -> list[BoxedPartition]:
 
 # -- the four candidate rules ---------------------------------------------------
 
-
-class InjectionRule(enum.Enum):
-    COLUMN_FILL = "ColumnFill"
-    ROW_FILL_TRANSPOSE = "RowFillTranspose"
-    MIN_BASE_VALUE = "MinBaseValue"
-    MAX_WT = "MaxWt"
+# In ``--rule 1..4`` order.
+RULES = ("ColumnFill", "RowFillTranspose", "MinBaseValue", "MaxWt")
 
 
-RULE_BY_NUMBER = {
-    1: InjectionRule.COLUMN_FILL,
-    2: InjectionRule.ROW_FILL_TRANSPOSE,
-    3: InjectionRule.MIN_BASE_VALUE,
-    4: InjectionRule.MAX_WT,
-}
-
-
-def apply_rule(rule: InjectionRule, p: BoxedPartition) -> Optional[BoxedPartition]:
+def apply_rule(rule: str, p: BoxedPartition) -> Optional[BoxedPartition]:
     """Apply a rule; None means the rule's selection is undefined (a tie).
 
     Every rule picks from ``increment_candidates(p)``: ColumnFill the first
     candidate, RowFillTranspose and MinBaseValue the last, MaxWt the unique one
-    of largest ``wt``.  Raises ValueError when the partition already fills its box.
+    of largest ``wt``.  Raises ValueError for a name not in ``RULES`` or a
+    partition that already fills its box.
 
     Lemma: row i can grow iff it is the first row of a block of equal parts
     below b, since its cap is b for i = 0 and parts[i-1] otherwise.
@@ -156,11 +148,11 @@ def apply_rule(rule: InjectionRule, p: BoxedPartition) -> Optional[BoxedPartitio
     candidates = increment_candidates(p)
     if not candidates:
         raise ValueError(f"{p.parts} fills its box")
-    if rule is InjectionRule.COLUMN_FILL:
+    if rule == "ColumnFill":
         return candidates[0]
-    if rule in (InjectionRule.ROW_FILL_TRANSPOSE, InjectionRule.MIN_BASE_VALUE):
+    if rule in ("RowFillTranspose", "MinBaseValue"):
         return candidates[-1]
-    if rule is InjectionRule.MAX_WT:
+    if rule == "MaxWt":
         weights = [wt(c) for c in candidates]
         top = max(weights)
         if weights.count(top) > 1:
@@ -172,52 +164,36 @@ def apply_rule(rule: InjectionRule, p: BoxedPartition) -> Optional[BoxedPartitio
 # -- audit engine ---------------------------------------------------------------
 
 
-class AuditOutcome(enum.Enum):
-    INJECTIVE_UP_TO_MIDDLE = "InjectiveUpToMiddle"
-    COLLISION = "Collision"
-    UNDEFINED = "Undefined"
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """First failure of a rule on a box, or a clean bill of health.
 
-    For a collision the two witnesses are distinct, sit on the same level,
-    and map to the recorded common image.  For an undefined input the witness
-    admits no unique choice (a tie in the selection statistic); the tied
-    candidate set is recorded.
+    ``outcome`` is "Collision", "Undefined" or "InjectiveUpToMiddle"; ``k`` is
+    the failing level.  For a collision the two witnesses are distinct, sit on
+    level k, and map to the recorded common image.  For an undefined input the
+    witness admits no unique choice (a tie in the selection statistic); the
+    tied candidate set is recorded.
     """
 
-    rule: InjectionRule
-    box: tuple[int, int]
-    outcome: AuditOutcome
-    level: Optional[int] = None
+    rule: str
+    a: int
+    b: int
+    outcome: str
+    k: Optional[int] = None
     witnesses: tuple[tuple[int, ...], ...] = ()
     image: Optional[tuple[int, ...]] = None
     candidates: tuple[tuple[int, ...], ...] = ()
     levels_checked: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule.value,
-            "a": self.box[0],
-            "b": self.box[1],
-            "outcome": self.outcome.value,
-            "k": self.level,
-            "witnesses": [list(w) for w in self.witnesses],
-            "image": list(self.image) if self.image is not None else None,
-            "candidates": [list(c) for c in self.candidates],
-            "levels_checked": self.levels_checked,
-        }
 
-
-def audit(rule: InjectionRule, a: int, b: int) -> AuditReport:
+def audit(rule: str, a: int, b: int) -> AuditReport:
     """Scan levels 0 .. floor(ab/2)-1 in order; report the first failure.
 
     Within a level, partitions are visited in lexicographic order, so the
     report is deterministic.
     """
-    box = (a, b)
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     middle = (a * b) // 2
     by_level = levels(a, b)
     for k in range(middle):
@@ -228,9 +204,10 @@ def audit(rule: InjectionRule, a: int, b: int) -> AuditReport:
                 cands = increment_candidates(p)
                 return AuditReport(
                     rule,
-                    box,
-                    AuditOutcome.UNDEFINED,
-                    level=k,
+                    a,
+                    b,
+                    "Undefined",
+                    k=k,
                     witnesses=(p.parts,),
                     candidates=tuple(c.parts for c in cands),
                     levels_checked=k + 1,
@@ -238,20 +215,19 @@ def audit(rule: InjectionRule, a: int, b: int) -> AuditReport:
             if image.parts in seen:
                 return AuditReport(
                     rule,
-                    box,
-                    AuditOutcome.COLLISION,
-                    level=k,
+                    a,
+                    b,
+                    "Collision",
+                    k=k,
                     witnesses=(seen[image.parts].parts, p.parts),
                     image=image.parts,
                     levels_checked=k + 1,
                 )
             seen[image.parts] = p
-    return AuditReport(
-        rule, box, AuditOutcome.INJECTIVE_UP_TO_MIDDLE, levels_checked=middle
-    )
+    return AuditReport(rule, a, b, "InjectiveUpToMiddle", levels_checked=middle)
 
 
-def audit_all(max_a: int, max_b: int, rules: tuple[InjectionRule, ...]) -> list[AuditReport]:
+def audit_all(max_a: int, max_b: int, rules: tuple[str, ...]) -> list[AuditReport]:
     return [
         audit(rule, a, b)
         for rule in rules
@@ -269,53 +245,37 @@ def audit_all(max_a: int, max_b: int, rules: tuple[InjectionRule, ...]) -> list[
 # claim's status without patching anything.
 
 
-class ClaimVerdict(enum.Enum):
-    CONFIRMED = "Confirmed"
-    NOT_A_FAILURE = "NotAFailure"
-    NOT_APPLICABLE = "NotApplicable"
-
-
 @dataclass(frozen=True)
 class WitnessCheck:
-    rule: InjectionRule
-    box: tuple[int, int]
-    claimed_level: int
+    """A claim's ``verdict``: "Confirmed", "NotAFailure" or "NotApplicable"."""
+
+    rule: str
+    a: int
+    b: int
+    claimed_k: int
     claimed_witnesses: tuple[tuple[int, ...], ...]
-    verdict: ClaimVerdict
+    verdict: str
     detail: str
     first_failure: AuditReport
     first_failure_at_claimed_level: Optional[bool] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule.value,
-            "a": self.box[0],
-            "b": self.box[1],
-            "claimed_k": self.claimed_level,
-            "claimed_witnesses": [list(w) for w in self.claimed_witnesses],
-            "verdict": self.verdict.value,
-            "detail": self.detail,
-            "first_failure": self.first_failure.to_json_dict(),
-            "first_failure_at_claimed_level": self.first_failure_at_claimed_level,
-        }
 
-
-def _claimed_witnesses(rule: InjectionRule, a: int, b: int):
+def _claimed_witnesses(rule: str, a: int, b: int):
     """(claimed level, claimed partitions) for a rule and box.
 
     The partitions are None when any of them does not fit the box.  One
     witness claims a tie in the selection, two claim a collision.
     """
-    if rule is InjectionRule.ROW_FILL_TRANSPOSE:
+    if rule == "RowFillTranspose":
         # ColumnFill's claim on the transposed box, carried back.
-        k, witnesses = _claimed_witnesses(InjectionRule.COLUMN_FILL, b, a)
+        k, witnesses = _claimed_witnesses("ColumnFill", b, a)
         return k, None if witnesses is None else [conjugate(w) for w in witnesses]
     pad = [0] * (a - 2)
-    if rule is InjectionRule.COLUMN_FILL:
+    if rule == "ColumnFill":
         k, claimed = 2 * b - 2, [[b, b - 2] + pad, [b - 1, b - 1] + pad]
-    elif rule is InjectionRule.MIN_BASE_VALUE:
+    elif rule == "MinBaseValue":
         k, claimed = b, [[b] + [0] * (a - 1), [b - 1, 1] + pad]
-    elif rule is InjectionRule.MAX_WT:
+    elif rule == "MaxWt":
         k, claimed = 1, [[1] + [0] * (a - 1)]
     else:
         raise ValueError(f"unknown rule {rule!r}")
@@ -330,11 +290,10 @@ def check_claim(first: AuditReport) -> WitnessCheck:
 
     ``first`` is recorded as the claim's first failure; no box is enumerated.
     """
-    rule = first.rule
-    a, b = first.box
+    rule, a, b = first.rule, first.a, first.b
     claimed_k, witnesses = _claimed_witnesses(rule, a, b)
     middle = (a * b) // 2
-    verdict = ClaimVerdict.NOT_APPLICABLE
+    verdict = "NotApplicable"
     if witnesses is None:
         detail = "claimed witnesses invalid in this box"
     elif claimed_k >= middle:
@@ -353,7 +312,7 @@ def check_claim(first: AuditReport) -> WitnessCheck:
             detail = f"witnesses collide on image {first_image}"
             if not held:
                 detail = f"distinct images {first_image} and {second_image}"
-        verdict = ClaimVerdict.CONFIRMED if held else ClaimVerdict.NOT_A_FAILURE
+        verdict = "Confirmed" if held else "NotAFailure"
     claimed = tuple(w.parts for w in witnesses or ())
-    at_level = None if verdict is ClaimVerdict.NOT_APPLICABLE else first.level == claimed_k
-    return WitnessCheck(rule, (a, b), claimed_k, claimed, verdict, detail, first, at_level)
+    at_level = None if verdict == "NotApplicable" else first.k == claimed_k
+    return WitnessCheck(rule, a, b, claimed_k, claimed, verdict, detail, first, at_level)

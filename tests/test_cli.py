@@ -270,7 +270,9 @@ class TestInjectionAudit:
         assert code == 0
         assert len(calls) == len(set(calls)) == audits
 
-    @pytest.mark.parametrize("rule, amax, bmax", [("all", 4, 4), ("3", 5, 3)])
+    @pytest.mark.parametrize("rule, amax, bmax", [
+        ("all", 4, 4), ("1", 4, 4), ("2", 4, 4), ("3", 5, 3), ("4", 4, 4),
+    ])
     def test_matches_the_report_section(self, capsys, rule, amax, bmax):
         box = ["--amax", str(amax), "--bmax", str(bmax)]
         code, out = run(capsys, "injection-audit", "--rule", rule, *box)
@@ -281,7 +283,7 @@ class TestInjectionAudit:
         section = json.loads(out)["sections"]["injections"]
         if rule != "all":
             # The report audits every rule; compare this rule's entries.
-            name = injectlab.RULE_BY_NUMBER[int(rule)].value
+            name = injectlab.RULES[int(rule) - 1]
             section = {
                 key: [entry for entry in section[key] if entry["rule"] == name]
                 if key != "pass" else value
@@ -436,7 +438,7 @@ def _max_wt_claim_one_level_up(monkeypatch):
 
     def shifted(rule, a, b):
         k, witnesses = claimed(rule, a, b)
-        return (k + 1 if rule is injectlab.InjectionRule.MAX_WT else k), witnesses
+        return (k + 1 if rule == "MaxWt" else k), witnesses
 
     monkeypatch.setattr(injectlab, "_claimed_witnesses", shifted)
 
@@ -445,10 +447,9 @@ def _row_fill_claim_untransposed(monkeypatch):
     # RowFillTranspose gets ColumnFill's claim in the (a, b) box itself; only
     # the transposition tells the two claims apart.
     claimed = injectlab._claimed_witnesses
-    rules = injectlab.InjectionRule
 
     def untransposed(rule, a, b):
-        return claimed(rules.COLUMN_FILL if rule is rules.ROW_FILL_TRANSPOSE else rule, a, b)
+        return claimed("ColumnFill" if rule == "RowFillTranspose" else rule, a, b)
 
     monkeypatch.setattr(injectlab, "_claimed_witnesses", untransposed)
 
@@ -457,14 +458,11 @@ def _max_wt_side_one_verdicts_swapped(monkeypatch):
     # With a side of 1 the MaxWt claim is either not applicable (below 4x1 and
     # 1x4, the middle is at most 1) or not a failure; swap the two.
     judged = injectlab.check_claim
-    swap = {
-        injectlab.ClaimVerdict.NOT_A_FAILURE: injectlab.ClaimVerdict.NOT_APPLICABLE,
-        injectlab.ClaimVerdict.NOT_APPLICABLE: injectlab.ClaimVerdict.NOT_A_FAILURE,
-    }
+    swap = {"NotAFailure": "NotApplicable", "NotApplicable": "NotAFailure"}
 
     def swapped(first):
         c = judged(first)
-        if c.rule is injectlab.InjectionRule.MAX_WT and min(c.box) == 1:
+        if c.rule == "MaxWt" and min(c.a, c.b) == 1:
             return dataclasses.replace(c, verdict=swap[c.verdict])
         return c
 
@@ -749,8 +747,9 @@ class TestOverflowedSlotExitsTwo:
 # from when the line lost its one-valued orientation and kept only its offset.
 # The 8x8 report is the document the benchmark's report workload prints.  The
 # `eulerian 6` entry dates from when eulerian began to print every field of
-# check; the last two entries were appended then, so earlier ids keep their
-# numbers: a constant, whose mode 0 must not fail check, and A_1.
+# check; two entries were appended then, so earlier ids keep their
+# numbers: a constant, whose mode 0 must not fail check, and A_1.  The last
+# two pin rules 2 and 4 beside rules 1 and 3.
 GOLDEN = [
     (["gauss", "5", "3"], 0,
      "18d88997aaba130ec951e26ddc7f02f4ddd0e2dbd3a28aad7b08b831724cbdfd"),
@@ -832,6 +831,10 @@ GOLDEN = [
      "9e4148f708ca27d07efc5bfd29e1c9018bc69aab7efd0822e24e996c7e877696"),
     (["eulerian", "1"], 0,
      "9acfd9ea7155b10b6bc6bf5dd4d320b67b743b4a26a1f6b8e62b39b1c22c1986"),
+    (["injection-audit", "--rule", "2", "--amax", "4", "--bmax", "4"], 0,
+     "b5574aa8bf4d4a46062078a71af14e6ba578f35a5d2b4535ac40c7c3730a9830"),
+    (["injection-audit", "--rule", "4", "--amax", "4", "--bmax", "4"], 0,
+     "740b354064747d9d462e4933cdefcb848d460b249251c28c58a9a78d34b8d528"),
 ]
 
 

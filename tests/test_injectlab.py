@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import pytest
@@ -6,11 +8,8 @@ import pytest
 from gausslab import criteria, injectlab
 from gausslab.cli import main
 from gausslab.injectlab import (
-    AuditOutcome,
+    RULES,
     BoxedPartition,
-    ClaimVerdict,
-    InjectionRule,
-    RULE_BY_NUMBER,
     _claimed_witnesses,
     apply_rule,
     audit,
@@ -210,37 +209,37 @@ class TestApplyRule:
         box = (4, 4)
         lam = BoxedPartition((4, 2, 0, 0), box)
         dell = BoxedPartition((3, 3, 0, 0), box)
-        assert apply_rule(InjectionRule.COLUMN_FILL, lam).parts == (4, 3, 0, 0)
-        assert apply_rule(InjectionRule.COLUMN_FILL, dell).parts == (4, 3, 0, 0)
+        assert apply_rule("ColumnFill", lam).parts == (4, 3, 0, 0)
+        assert apply_rule("ColumnFill", dell).parts == (4, 3, 0, 0)
 
     def test_max_wt_tie(self):
         p = BoxedPartition((1, 0), (2, 2))
-        assert apply_rule(InjectionRule.MAX_WT, p) is None
+        assert apply_rule("MaxWt", p) is None
         cands = {c.parts for c in increment_candidates(p)}
         assert cands == {(2, 0), (1, 1)}
         assert {wt(c) for c in increment_candidates(p)} == {2}
 
     def test_min_base_value(self):
         p = BoxedPartition((1, 0), (2, 2))
-        assert apply_rule(InjectionRule.MIN_BASE_VALUE, p).parts == (1, 1)
+        assert apply_rule("MinBaseValue", p).parts == (1, 1)
 
     def test_row_fill_transpose(self):
         # Transposed filling adds the new cell to the leftmost incomplete column.
         p = BoxedPartition((2, 1, 0), (3, 3))
-        image = apply_rule(InjectionRule.ROW_FILL_TRANSPOSE, p)
+        image = apply_rule("RowFillTranspose", p)
         assert image.parts == (2, 1, 1)
 
     def test_no_successor(self):
         with pytest.raises(ValueError, match=r"^\(2, 2\) fills its box$"):
-            apply_rule(InjectionRule.COLUMN_FILL, BoxedPartition((2, 2), (2, 2)))
+            apply_rule("ColumnFill", BoxedPartition((2, 2), (2, 2)))
 
     def test_picks_match_the_definitions(self):
         # Each picking rule equals its definition on every non-full partition
         # of every box up to 8x8.
         references = {
-            InjectionRule.COLUMN_FILL: _column_fill,
-            InjectionRule.ROW_FILL_TRANSPOSE: _row_fill_transpose,
-            InjectionRule.MIN_BASE_VALUE: _min_base_value,
+            "ColumnFill": _column_fill,
+            "RowFillTranspose": _row_fill_transpose,
+            "MinBaseValue": _min_base_value,
         }
         checked = 0
         for a in range(1, 9):
@@ -259,7 +258,7 @@ class TestApplyRule:
                 for p in enumerate_box(a, b):
                     if p.weight == a * b:
                         continue
-                    for rule in InjectionRule:
+                    for rule in RULES:
                         image = apply_rule(rule, p)
                         if image is None:
                             continue
@@ -267,7 +266,7 @@ class TestApplyRule:
                         assert image.box == p.box
 
     def test_domination_for_candidate_rules(self):
-        for rule in (InjectionRule.MIN_BASE_VALUE, InjectionRule.MAX_WT):
+        for rule in ("MinBaseValue", "MaxWt"):
             for p in enumerate_box(3, 3):
                 if p.weight == 9:
                     continue
@@ -278,23 +277,23 @@ class TestApplyRule:
 
 class TestAudit:
     def test_max_wt_2_2(self):
-        report = audit(InjectionRule.MAX_WT, 2, 2)
-        assert report.outcome is AuditOutcome.UNDEFINED
-        assert report.level == 1
+        report = audit("MaxWt", 2, 2)
+        assert report.outcome == "Undefined"
+        assert report.k == 1
         assert report.witnesses == ((1, 0),)
         assert set(report.candidates) == {(2, 0), (1, 1)}
 
     def test_column_fill_2_2(self):
-        report = audit(InjectionRule.COLUMN_FILL, 2, 2)
-        assert report.outcome is AuditOutcome.INJECTIVE_UP_TO_MIDDLE
+        report = audit("ColumnFill", 2, 2)
+        assert report.outcome == "InjectiveUpToMiddle"
         assert report.levels_checked == 2
 
     def test_column_fill_4_4_first_failure(self):
         # The first collision sits at k = b: (b-1,1,0,..) and (b,0,..) share
         # the image (b,1,0,..).  That is below the documented level 2b-2.
-        report = audit(InjectionRule.COLUMN_FILL, 4, 4)
-        assert report.outcome is AuditOutcome.COLLISION
-        assert report.level == 4
+        report = audit("ColumnFill", 4, 4)
+        assert report.outcome == "Collision"
+        assert report.k == 4
         assert set(report.witnesses) == {(3, 1, 0, 0), (4, 0, 0, 0)}
         assert report.image == (4, 1, 0, 0)
 
@@ -303,38 +302,56 @@ class TestAudit:
             for b in range(2, 7):
                 if b >= (a * b) // 2:
                     continue
-                report = audit(InjectionRule.COLUMN_FILL, a, b)
-                assert report.outcome is AuditOutcome.COLLISION
-                assert report.level == b
+                report = audit("ColumnFill", a, b)
+                assert report.outcome == "Collision"
+                assert report.k == b
 
     def test_min_base_value_3_3(self):
-        report = audit(InjectionRule.MIN_BASE_VALUE, 3, 3)
-        assert report.outcome is AuditOutcome.COLLISION
-        assert report.level == 3
+        report = audit("MinBaseValue", 3, 3)
+        assert report.outcome == "Collision"
+        assert report.k == 3
         assert set(report.witnesses) == {(1, 1, 1), (2, 1, 0)}
         assert report.image == (2, 1, 1)
 
     def test_every_rule_fails_somewhere(self):
-        for rule in InjectionRule:
+        for rule in RULES:
             outcomes = {
                 audit(rule, a, b).outcome
                 for a in range(1, 7)
                 for b in range(1, 7)
             }
-            assert outcomes - {AuditOutcome.INJECTIVE_UP_TO_MIDDLE}
+            assert outcomes - {"InjectiveUpToMiddle"}
 
     def test_deterministic(self):
-        first = audit(InjectionRule.MIN_BASE_VALUE, 4, 4)
-        second = audit(InjectionRule.MIN_BASE_VALUE, 4, 4)
+        first = audit("MinBaseValue", 4, 4)
+        second = audit("MinBaseValue", 4, 4)
         assert first == second
 
     def test_json_shape(self):
-        doc = audit(InjectionRule.MAX_WT, 2, 2).to_json_dict()
-        assert doc["rule"] == "MaxWt"
-        assert doc["a"] == 2 and doc["b"] == 2
-        assert doc["outcome"] == "Undefined"
-        assert doc["k"] == 1
-        assert doc["witnesses"] == [[1, 0]]
+        # The record's fields are the JSON keys, so asdict is its JSON object.
+        doc = json.loads(json.dumps(dataclasses.asdict(audit("MaxWt", 2, 2))))
+        assert doc == {
+            "rule": "MaxWt",
+            "a": 2,
+            "b": 2,
+            "outcome": "Undefined",
+            "k": 1,
+            "witnesses": [[1, 0]],
+            "image": None,
+            "candidates": [[2, 0], [1, 1]],
+            "levels_checked": 2,
+        }
+
+    def test_a_misspelt_rule_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown rule 'ColumFill'$"):
+            apply_rule("ColumFill", BoxedPartition((1, 0), (2, 2)))
+        # Also where no level is scanned: the 1x1 box has middle 0.
+        for a, b in [(1, 1), (3, 3)]:
+            with pytest.raises(ValueError, match="^unknown rule 'ColumFill'$"):
+                audit("ColumFill", a, b)
+        misspelt = dataclasses.replace(audit("ColumnFill", 3, 3), rule="ColumFill")
+        with pytest.raises(ValueError, match="^unknown rule 'ColumFill'$"):
+            check_claim(misspelt)
 
 
 def _row_fill_claim_as_printed(a, b):
@@ -353,34 +370,34 @@ def _row_fill_claim_as_printed(a, b):
 
 class TestClaims:
     def test_rule_numbers(self):
-        assert RULE_BY_NUMBER[1] is InjectionRule.COLUMN_FILL
-        assert RULE_BY_NUMBER[4] is InjectionRule.MAX_WT
+        # --rule n names RULES[n - 1].
+        assert RULES == ("ColumnFill", "RowFillTranspose", "MinBaseValue", "MaxWt")
 
     def test_column_fill_claim_confirmed_but_not_first(self):
-        c = check_claim(audit(InjectionRule.COLUMN_FILL, 4, 4))
-        assert c.verdict is ClaimVerdict.CONFIRMED
-        assert c.claimed_level == 6
-        assert c.first_failure.level == 4
+        c = check_claim(audit("ColumnFill", 4, 4))
+        assert c.verdict == "Confirmed"
+        assert c.claimed_k == 6
+        assert c.first_failure.k == 4
         assert c.first_failure_at_claimed_level is False
 
     def test_max_wt_claim(self):
-        c = check_claim(audit(InjectionRule.MAX_WT, 3, 3))
-        assert c.verdict is ClaimVerdict.CONFIRMED
+        c = check_claim(audit("MaxWt", 3, 3))
+        assert c.verdict == "Confirmed"
         assert c.claimed_witnesses == ((1, 0, 0),)
 
     def test_min_base_value_claim_not_a_failure(self):
-        c = check_claim(audit(InjectionRule.MIN_BASE_VALUE, 4, 4))
-        assert c.verdict is ClaimVerdict.NOT_A_FAILURE
+        c = check_claim(audit("MinBaseValue", 4, 4))
+        assert c.verdict == "NotAFailure"
         assert c.claimed_witnesses == ((4, 0, 0, 0), (3, 1, 0, 0))
 
     def test_row_fill_claim_witnesses_live_in_original_box(self):
-        c = check_claim(audit(InjectionRule.ROW_FILL_TRANSPOSE, 4, 4))
-        assert c.verdict is ClaimVerdict.CONFIRMED
+        c = check_claim(audit("RowFillTranspose", 4, 4))
+        assert c.verdict == "Confirmed"
         for w in c.claimed_witnesses:
-            assert sum(w) == c.claimed_level == 6
+            assert sum(w) == c.claimed_k == 6
             BoxedPartition(w, (4, 4))  # must validate
 
-    @pytest.mark.parametrize("rule", list(InjectionRule))
+    @pytest.mark.parametrize("rule", RULES)
     def test_claimed_witnesses_are_what_check_claim_assumes(self, rule):
         # check_claim does not re-check these: the witnesses sit on the
         # claimed level and are distinct, only MaxWt's claim is a one-witness
@@ -389,21 +406,21 @@ class TestClaims:
         for a in range(1, 9):
             for b in range(1, 9):
                 k, witnesses = _claimed_witnesses(rule, a, b)
-                if rule is InjectionRule.COLUMN_FILL:
+                if rule == "ColumnFill":
                     assert k == 2 * b - 2
                 if witnesses is None:
-                    assert rule is not InjectionRule.MAX_WT
+                    assert rule != "MaxWt"
                     continue
                 assert all(w.box == (a, b) and w.weight == k for w in witnesses), (a, b)
                 assert len({w.parts for w in witnesses}) == len(witnesses), (a, b)
-                assert len(witnesses) == (1 if rule is InjectionRule.MAX_WT else 2)
+                assert len(witnesses) == (1 if rule == "MaxWt" else 2)
                 if len(witnesses) == 2:
                     assert all(apply_rule(rule, w) is not None for w in witnesses), (a, b)
 
     def test_row_fill_claim_is_the_printed_transposed_pair(self):
         for a in range(1, 9):
             for b in range(1, 9):
-                claim = _claimed_witnesses(InjectionRule.ROW_FILL_TRANSPOSE, a, b)
+                claim = _claimed_witnesses("RowFillTranspose", a, b)
                 assert claim == _row_fill_claim_as_printed(a, b), (a, b)
 
     def test_max_wt_claim_with_a_side_of_one(self):
@@ -411,31 +428,29 @@ class TestClaims:
         # defined on it; the claim at k = 1 is below the middle max(a, b) // 2
         # only from 4x1 and 1x4 on.
         audits = [
-            audit(InjectionRule.MAX_WT, a, b)
+            audit("MaxWt", a, b)
             for a in range(1, 11)
             for b in range(1, 11)
             if min(a, b) == 1
         ]
         claims = [check_claim(r) for r in audits]
         for c in claims:
-            expected = (
-                ClaimVerdict.NOT_A_FAILURE if max(c.box) >= 4 else ClaimVerdict.NOT_APPLICABLE
-            )
-            assert c.verdict is expected, c.box
+            expected = "NotAFailure" if max(c.a, c.b) >= 4 else "NotApplicable"
+            assert c.verdict == expected, (c.a, c.b)
         assert criteria.injections_hold(audits, claims)
 
     def test_small_boxes_not_applicable(self):
-        c = check_claim(audit(InjectionRule.COLUMN_FILL, 2, 2))
-        assert c.verdict is ClaimVerdict.NOT_APPLICABLE
+        c = check_claim(audit("ColumnFill", 2, 2))
+        assert c.verdict == "NotApplicable"
 
     def test_claim_judges_the_audit_it_is_given(self):
-        for r in audit_all(4, 4, tuple(InjectionRule)):
+        for r in audit_all(4, 4, RULES):
             c = check_claim(r)
             assert c.first_failure is r
-            assert (c.rule, c.box) == (r.rule, r.box)
+            assert (c.rule, c.a, c.b) == (r.rule, r.a, r.b)
 
     def test_grid_complete_and_stable(self):
-        once = [check_claim(r) for r in audit_all(4, 4, tuple(InjectionRule))]
-        twice = [check_claim(r) for r in audit_all(4, 4, tuple(InjectionRule))]
+        once = [check_claim(r) for r in audit_all(4, 4, RULES)]
+        twice = [check_claim(r) for r in audit_all(4, 4, RULES)]
         assert [c.verdict for c in once] == [c.verdict for c in twice]
         assert len(once) == 4 * 4 * 4
