@@ -253,9 +253,8 @@ def _cmd_report(args) -> Result:
         "shift_identity_weight_families_m_le_8": criteria.weight_families_shift_hold(8),
     }
     shapes["pass"] = criteria.holds(shapes)
-    counts = criteria.box_level_counts(amax, bmax)
-    grid = criteria.gaussian_grid(counts)
-    calibrated = criteria.calibration_holds(counts)
+    grid = criteria.gaussian_grid(amax, bmax)
+    calibrated = criteria.calibration_holds()
     sections = {
         "gaussian": {
             "grid": grid,
@@ -286,8 +285,12 @@ def _cmd_report(args) -> Result:
 # cost no more than at its anchor box: quotient 300x300 takes 6 s, pascal 150x150
 # 4.4 s, koh 25x25 1.1 s and enum 11x11 0.2 s.  A report or injection-audit range
 # may hold at most BOX_PARTS_LIMIT parts over all its boxes, a per partition of an
-# a-by-b box: 115,149,423 up to 12x12, 484,073,550 up to 13x13.
+# a-by-b box: 115,149,423 up to 12x12, 484,073,550 up to 13x13.  A report's grid
+# also sums koh under both rules on every box in range, and that work may be at most
+# GRID_KOH_LIMIT times koh's at its anchor: 12x12 costs 0.03 of it, 1x25 0.84 (3.5 s),
+# 1x29 3.98 (9.0 s, 145 MiB) and the refused 1x30 5.74 (12.6 s, 186 MiB).
 BOX_PARTS_LIMIT = 150_000_000
+GRID_KOH_LIMIT = 4
 N_LIMITS = {"sperner": 100_000, "sperner --exhaustive": 5, "stirling": 1_000,
             "eulerian": 30, "bruhat": 8, "paths fab": 18, "paths sagan": 2_000}
 GAUSS_ANCHORS = {"quotient": (300, 300), "pascal": (150, 150), "enum": (11, 11), "koh": (25, 25)}
@@ -340,11 +343,27 @@ def _gauss_cost(method: str, a: int, b: int, cap) -> tuple[int, ...]:
 GAUSS_LIMITS = {m: _gauss_cost(m, a, b, math.inf) for m, (a, b) in GAUSS_ANCHORS.items()}
 
 
+def _grid_koh_cost(amax: int, bmax: int, cap) -> int:
+    """The koh work of both rules on every box up to (amax, bmax), by ``_gauss_cost``:
+    largest b first, stopped once past ``cap``."""
+    total = 0
+    for b in range(bmax if amax > 0 else 0, 0, -1):
+        for a in range(amax, 0, -1):
+            total += 2 * _gauss_cost("koh", a, b, cap)[0]
+            if total > cap:
+                return total
+    return total
+
+
 def _admit(args, command: str) -> str | None:
     """Why ``command`` is refused, if a predicted size is past its limit; else None."""
     if command in ("report", "injection-audit"):
         parts = _box_parts(args.amax, args.bmax, BOX_PARTS_LIMIT)
         bounds = [(parts, BOX_PARTS_LIMIT, f"at most {BOX_PARTS_LIMIT} parts")]
+        if command == "report" and parts <= BOX_PARTS_LIMIT:
+            limit = GRID_KOH_LIMIT * GAUSS_LIMITS["koh"][0]
+            what = f"its koh grid to cost no more than {GRID_KOH_LIMIT} times koh at 25x25"
+            bounds.append((_grid_koh_cost(args.amax, args.bmax, limit), limit, what))
     elif command == "gauss":
         limits, (a, b) = GAUSS_LIMITS[args.method], GAUSS_ANCHORS[args.method]
         what = f"--method {args.method} to cost no more than at {a}x{b}"
@@ -392,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("injection-audit", help="audit the level-raising rules")
-    p.add_argument("--rule", choices=["all", "1", "2", "3", "4"], default="all")
+    rule_numbers = [str(n) for n in range(1, len(injectlab.RULES) + 1)]
+    p.add_argument("--rule", choices=["all", *rule_numbers], default="all")
     p.add_argument("--amax", type=int, default=4)
     p.add_argument("--bmax", type=int, default=4)
     p.set_defaults(handler=_cmd_injection_audit)

@@ -37,21 +37,12 @@ class BoxedPartition:
                 raise ValueError(f"not weakly decreasing within [0, {b}]: {self.parts}")
             prev = p
 
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def replace_part(self, i: int, value: int) -> "BoxedPartition":
-        parts = list(self.parts)
-        parts[i] = value
-        return BoxedPartition(tuple(parts), self.box)
-
 
 def iter_box(a: int, b: int) -> Iterator[tuple[int, ...]]:
     """All part tuples for the (a, b) box in ascending lexicographic order.
 
-    Only the ordered levels of the audits (``enumerate_box``, ``levels``) use
-    it; ``qgauss.level_counts`` enumerates the box on its own, in no order.
+    Only the audits' ordered ``levels`` use it; ``qgauss.level_counts``
+    enumerates the box on its own, in no order.
     """
 
     def rec(prefix: list[int], bound: int, remaining: int) -> Iterator[tuple[int, ...]]:
@@ -66,19 +57,14 @@ def iter_box(a: int, b: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], b, a)
 
 
-def enumerate_box(a: int, b: int) -> list[BoxedPartition]:
-    """Complete, duplicate-free, lexicographically ordered box contents."""
+def levels(a: int, b: int) -> list[list[BoxedPartition]]:
+    """All levels at once (one box enumeration, bucketed by weight)."""
     if a < 1 or b < 1:
         raise ValueError("box sides must be positive")
     box = (a, b)
-    return [BoxedPartition(parts, box) for parts in iter_box(a, b)]
-
-
-def levels(a: int, b: int) -> list[list[BoxedPartition]]:
-    """All levels at once (one box enumeration, bucketed by weight)."""
     buckets: list[list[BoxedPartition]] = [[] for _ in range(a * b + 1)]
-    for p in enumerate_box(a, b):
-        buckets[p.weight].append(p)
+    for parts in iter_box(a, b):
+        buckets[sum(parts)].append(BoxedPartition(parts, box))
     return buckets
 
 
@@ -110,12 +96,12 @@ def increment_candidates(p: BoxedPartition) -> list[BoxedPartition]:
     the tests cross-check this against a brute-force level scan.  Every rule
     of ``apply_rule`` picks from this list; it is empty when p fills its box.
     """
-    a, b = p.box
+    (a, b), parts = p.box, p.parts
     out = []
     for i in range(a):
-        cap = b if i == 0 else p.parts[i - 1]
-        if p.parts[i] < cap:
-            out.append(p.replace_part(i, p.parts[i] + 1))
+        cap = b if i == 0 else parts[i - 1]
+        if parts[i] < cap:
+            out.append(BoxedPartition(parts[:i] + (parts[i] + 1,) + parts[i + 1 :], p.box))
     return out
 
 

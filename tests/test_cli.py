@@ -51,6 +51,23 @@ class TestGauss:
         assert doc["rule"] == "calibrated"
         assert all({"exponent", "factors", "darga", "coefficients"} <= set(t) for t in doc["terms"])
 
+    @pytest.mark.parametrize("rule", list(qgauss.KOH_RULES))
+    def test_koh_terms_sum_to_the_printed_coefficients(self, capsys, rule):
+        # Under either rule the printed terms add up to the printed sum; under
+        # the calibrated rule every nonzero term is symmetric about darga ab.
+        for a in range(6):
+            for b in range(6):
+                code, out = run(capsys, "gauss", str(a), str(b), "--method", "koh",
+                                "--koh-rule", rule, "--terms")
+                assert code == 0
+                doc = json.loads(out)
+                total = IntPoly.zero()
+                for term in doc["terms"]:
+                    total = total + IntPoly.from_json(term["coefficients"])
+                    if rule == "calibrated" and term["coefficients"]:
+                        assert term["darga"] == a * b, (a, b, term)
+                assert total.to_json() == doc["coeffs"], (a, b)
+
     def test_koh_stated_rule(self, capsys):
         code, out = run(capsys, "gauss", "4", "2", "--method", "koh", "--koh-rule", "stated")
         assert code == 0
@@ -253,6 +270,16 @@ class TestInjectionAudit:
         assert claim44["claimed_k"] == 6
         assert claim44["first_failure"]["k"] == 4
 
+    def test_rule_5_is_a_usage_error(self, capsys):
+        # --rule takes "all" or a number 1..len(RULES), one per rule.
+        parser = cli.build_parser()
+        for rule in ["all", *map(str, range(1, len(injectlab.RULES) + 1))]:
+            assert parser.parse_args(["injection-audit", "--rule", rule]).rule == rule
+        with pytest.raises(SystemExit) as err:
+            main(["injection-audit", "--rule", "5"])
+        assert err.value.code == 2
+        assert "invalid choice: '5'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, audits", [
         (["report", "--amax", "4", "--bmax", "4"], 64),
         (["injection-audit", "--rule", "1", "--amax", "4", "--bmax", "4"], 16),
@@ -401,13 +428,13 @@ class TestReport:
         "side, boxes, digest",
         [
             (8, 64, "d2190ec6ea919bcfbd13938f5cd05b18118028b685b5a2d47c7f55e736667ab6"),
-            (3, 36, "1caa2c60200f3c1d601bade1fc8068b3719b69abc35897efcfb48135196c45ad"),
+            (3, 9, "1caa2c60200f3c1d601bade1fc8068b3719b69abc35897efcfb48135196c45ad"),
         ],
         ids=["8-64", "3-36"],
     )
     def test_each_box_is_enumerated_once(self, capsys, monkeypatch, side, boxes, digest):
-        # The grid's boxes and the 36 calibration boxes up to 6x6 share one
-        # enumeration each: 64 at 8x8 (the grid covers all 36), 9 + 27 at 3x3.
+        # Each check enumerates its own boxes once each, in order: the grid's
+        # (64 at 8x8, 9 at 3x3), then the calibration's 36 up to 6x6.
         # The 8x8 report is the benchmark's workload, so its bytes are pinned too.
         calls = []
         enumerate_counts = qgauss.level_counts
@@ -419,7 +446,10 @@ class TestReport:
         monkeypatch.setattr(qgauss, "level_counts", counted)
         code, out = run(capsys, "report", "--amax", str(side), "--bmax", str(side))
         assert code == 0
-        assert len(calls) == len(set(calls)) == boxes
+        grid = [(a, b) for a in range(1, side + 1) for b in range(1, side + 1)]
+        calibration = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+        assert len(grid) == boxes
+        assert calls == grid + calibration
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_report_deterministic(self, capsys):
@@ -994,7 +1024,7 @@ class TestExitTwo:
 
         for module, builder in [(posetlab, "max_antichain"), (qgauss, "level_counts"),
                                 (injectlab, "audit_all"), (injectlab, "audit"),
-                                (injectlab, "enumerate_box")]:
+                                (injectlab, "levels")]:
             monkeypatch.setattr(module, builder, spy)
         return built
 
@@ -1045,6 +1075,9 @@ BOX_LIMITS = [
     (["paths", "monotone", "14", "6"], ["paths", "monotone", "15", "6"], pathlab, "monotone_paths"),
     (["report", "--amax", "12", "--bmax", "12"], ["report", "--amax", "12", "--bmax", "13"],
      qgauss, "level_counts"),
+    # A thin report range is held by its grid's koh sums, not by its parts.
+    (["report", "--amax", "1", "--bmax", "29"], ["report", "--amax", "1", "--bmax", "30"],
+     qgauss, "koh_sum"),
     (["injection-audit", "--amax", "12", "--bmax", "12"],
      ["injection-audit", "--amax", "13", "--bmax", "12"], injectlab, "audit"),
 ]
@@ -1056,6 +1089,8 @@ REFUSED_AT_ONCE = [
     ["injection-audit", "--amax", "1000", "--bmax", "1"],
     ["report", "--amax", "1000", "--bmax", "1"],
     ["report", "--amax", "13", "--bmax", "13"],
+    ["report", "--amax", "1", "--bmax", "40"],
+    ["report", "--amax", "1", "--bmax", "1000"],
     ["gauss", "10000000", "0", "--method", "pascal"],
     ["gauss", "10000000", "0", "--method", "enum"],
     ["gauss", "3000000", "1", "--method", "koh"],
@@ -1137,6 +1172,28 @@ class TestAdmission:
         assert cli._box_parts(12, 13, math.inf) == 223_315_663 > limit
         assert cli._box_parts(13, 13, limit) > limit
         assert cli._box_parts(1000, 1, limit) > limit
+
+    def test_the_grid_koh_limit_admits_1x25_8x8_and_12x12(self, capsys):
+        # In units of koh at 25x25, summed over both rules and every box in range.
+        unit = cli.GAUSS_LIMITS["koh"][0]
+        cost = {(1, 25): 0.84, (2, 25): 2.53, (3, 25): 4.21, (1, 30): 5.74, (12, 12): 0.03}
+        for (amax, bmax), units in cost.items():
+            assert round(cli._grid_koh_cost(amax, bmax, math.inf) / unit, 2) == units
+        for amax, bmax in [(1, 25), (2, 25), (8, 8), (12, 12)]:
+            args = cli.build_parser().parse_args(
+                ["report", "--amax", str(amax), "--bmax", str(bmax)])
+            assert cli._admit(args, "report") is None, (amax, bmax)
+        # 1x40 is past the limit at its first box, b = 40, and 1x1000 at b = 1000.
+        limit = cli.GRID_KOH_LIMIT * unit
+        assert cli._grid_koh_cost(1, 40, limit) == 2 * cli._gauss_cost("koh", 1, 40, limit)[0]
+        for bmax in (40, 1000):
+            assert main(["report", "--amax", "1", "--bmax", str(bmax)]) == 3
+            assert capsys.readouterr() == ("", "budget exceeded: report needs its koh grid "
+                                           "to cost no more than 4 times koh at 25x25\n")
+
+    def test_injection_audit_runs_no_grid(self):
+        args = cli.build_parser().parse_args(["injection-audit", "--amax", "1", "--bmax", "1000"])
+        assert cli._admit(args, "injection-audit") is None
 
     def test_every_benchmark_box_is_admitted(self):
         # The largest boxes the benchmark's gauss workload draws, each route.

@@ -16,17 +16,22 @@ from gausslab.injectlab import (
     audit_all,
     check_claim,
     conjugate,
-    enumerate_box,
     increment_candidates,
+    iter_box,
     levels,
     wt,
 )
 
 
+def _box(a, b):
+    """Every partition of the (a, b) box, in ascending lexicographic order."""
+    return [BoxedPartition(parts, (a, b)) for parts in iter_box(a, b)]
+
+
 class TestBoxedPartition:
     def test_valid(self):
         p = BoxedPartition((2, 1), (2, 3))
-        assert p.weight == 3 and p.box == (2, 3)
+        assert p.parts == (2, 1) and p.box == (2, 3)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -41,21 +46,24 @@ class TestBoxedPartition:
 
 class TestEnumeration:
     def test_box_2_2(self):
-        parts = [p.parts for p in enumerate_box(2, 2)]
-        assert parts == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        assert list(iter_box(2, 2)) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
 
     def test_counts(self):
         for a in range(1, 6):
             for b in range(1, 6):
-                assert len(enumerate_box(a, b)) == math.comb(a + b, a)
+                assert len(list(iter_box(a, b))) == math.comb(a + b, a)
+                assert sum(map(len, levels(a, b))) == math.comb(a + b, a)
 
     def test_lex_sorted_and_unique(self):
-        parts = [p.parts for p in enumerate_box(3, 3)]
+        parts = list(iter_box(3, 3))
         assert parts == sorted(set(parts))
 
     def test_level(self):
         assert [p.parts for p in levels(2, 2)[2]] == [(1, 1), (2, 0)]
         assert [p.parts for p in levels(3, 4)[0]] == [(0, 0, 0)]
+        for a, b in [(0, 3), (3, 0), (-1, 2)]:
+            with pytest.raises(ValueError, match="^box sides must be positive$"):
+                levels(a, b)
 
     def test_levels_match_a_brute_force_scan(self):
         # Level k in ascending lexicographic order is the order the audits
@@ -74,7 +82,7 @@ class TestEnumeration:
         def refuse(a, b):
             raise AssertionError("enumerated a box past the budget")
 
-        monkeypatch.setattr(injectlab, "enumerate_box", refuse)
+        monkeypatch.setattr(injectlab, "levels", refuse)
         for amax, bmax in [(12, 13), (13, 13), (1000, 1)]:
             assert main(["injection-audit", "--amax", str(amax), "--bmax", str(bmax)]) == 3
             assert capsys.readouterr().err.startswith("budget exceeded: ")
@@ -126,16 +134,16 @@ class TestMatrixConjugate:
         assert conjugate(p).parts == (2, 2, 2)
 
     def test_transpose_correspondence(self):
-        for p in enumerate_box(3, 4):
+        for p in _box(3, 4):
             assert tuple(zip(*_matrix(p))) == _matrix(conjugate(p))
 
     def test_involution_and_weight(self):
         for a in range(1, 6):
             for b in range(1, 6):
-                for p in enumerate_box(a, b):
+                for p in _box(a, b):
                     back = conjugate(conjugate(p))
                     assert back == p
-                    assert conjugate(p).weight == p.weight
+                    assert sum(conjugate(p).parts) == sum(p.parts)
 
 
 def _base_value(p):
@@ -154,7 +162,9 @@ def _column_fill(p):
     j = 0
     while p.parts[j] == p.box[1]:
         j += 1
-    return p.replace_part(j, p.parts[j] + 1)
+    parts = list(p.parts)
+    parts[j] += 1
+    return BoxedPartition(tuple(parts), p.box)
 
 
 def _row_fill_transpose(p):
@@ -178,7 +188,7 @@ class TestSelectionStatistics:
         # candidates share a box, so their least base value is unique.
         for a in range(1, 7):
             for b in range(1, 7):
-                values = [_base_value(p) for p in enumerate_box(a, b)]
+                values = [_base_value(p) for p in _box(a, b)]
                 assert len(set(values)) == len(values)
 
     def test_wt(self):
@@ -191,14 +201,14 @@ class TestSelectionStatistics:
         for a in range(1, 5):
             for b in range(1, 5):
                 by_level = levels(a, b)
-                for p in enumerate_box(a, b):
-                    if p.weight == a * b:
+                for p in _box(a, b):
+                    if sum(p.parts) == a * b:
                         assert increment_candidates(p) == []
                         continue
                     fast = {c.parts for c in increment_candidates(p)}
                     brute = {
                         q.parts
-                        for q in by_level[p.weight + 1]
+                        for q in by_level[sum(p.parts) + 1]
                         if all(x <= y for x, y in zip(p.parts, q.parts))
                     }
                     assert fast == brute
@@ -244,8 +254,8 @@ class TestApplyRule:
         checked = 0
         for a in range(1, 9):
             for b in range(1, 9):
-                for p in enumerate_box(a, b):
-                    if p.weight == a * b:
+                for p in _box(a, b):
+                    if sum(p.parts) == a * b:
                         continue
                     checked += 1
                     for rule, reference in references.items():
@@ -255,20 +265,20 @@ class TestApplyRule:
     def test_weight_increase_and_validity(self):
         for a in range(1, 5):
             for b in range(1, 5):
-                for p in enumerate_box(a, b):
-                    if p.weight == a * b:
+                for p in _box(a, b):
+                    if sum(p.parts) == a * b:
                         continue
                     for rule in RULES:
                         image = apply_rule(rule, p)
                         if image is None:
                             continue
-                        assert image.weight == p.weight + 1
+                        assert sum(image.parts) == sum(p.parts) + 1
                         assert image.box == p.box
 
     def test_domination_for_candidate_rules(self):
         for rule in ("MinBaseValue", "MaxWt"):
-            for p in enumerate_box(3, 3):
-                if p.weight == 9:
+            for p in _box(3, 3):
+                if sum(p.parts) == 9:
                     continue
                 image = apply_rule(rule, p)
                 if image is not None:
@@ -411,7 +421,7 @@ class TestClaims:
                 if witnesses is None:
                     assert rule != "MaxWt"
                     continue
-                assert all(w.box == (a, b) and w.weight == k for w in witnesses), (a, b)
+                assert all(w.box == (a, b) and sum(w.parts) == k for w in witnesses), (a, b)
                 assert len({w.parts for w in witnesses}) == len(witnesses), (a, b)
                 assert len(witnesses) == (1 if rule == "MaxWt" else 2)
                 if len(witnesses) == 2:

@@ -302,36 +302,23 @@ class TestKoh:
     def test_calibration_selects_second_candidate(self, monkeypatch):
         # The minimal edit fails somewhere up to 6x6 and the calibrated rule
         # holds on every box; either rule swapped for the other fails the check.
-        assert criteria.calibration_holds({})
+        assert criteria.calibration_holds()
         with monkeypatch.context() as m:
             m.setattr(qgauss, "minimal_edit_argument", calibrated_argument)
-            assert not criteria.calibration_holds({})
+            assert not criteria.calibration_holds()
         monkeypatch.setitem(KOH_RULES, "calibrated", minimal_edit_argument)
-        assert not criteria.calibration_holds({})
-
-    def test_calibration_enumerates_only_the_boxes_it_lacks(self, monkeypatch):
-        calls = []
-        enumerate_counts = qgauss.level_counts
-
-        def counted(a, b, *rest):
-            calls.append((a, b))
-            return enumerate_counts(a, b, *rest)
-
-        monkeypatch.setattr(qgauss, "level_counts", counted)
-        assert criteria.calibration_holds({})
-        assert sorted(calls) == [(a, b) for a in range(1, 7) for b in range(1, 7)]
-        calls.clear()
-        known = {(a, b): enumerate_counts(a, b) for a in range(1, 4) for b in range(1, 4)}
-        assert criteria.calibration_holds(known)
-        assert len(calls) == len(set(calls)) == 27
-        assert not set(calls) & set(known)
+        assert not criteria.calibration_holds()
 
     @pytest.mark.parametrize("box", [(1, 1), (4, 3), (6, 6)])
-    def test_calibration_fails_on_one_corrupted_box(self, box):
-        counts = criteria.box_level_counts(6, 6)
-        c = counts[box].coeffs
-        counts[box] = IntPoly(c[:-1] + (c[-1] + 1,))
-        assert not criteria.calibration_holds(counts)
+    def test_calibration_fails_on_one_corrupted_box(self, box, monkeypatch):
+        enumerate_counts = qgauss.level_counts
+
+        def corrupted(a, b):
+            c = enumerate_counts(a, b).coeffs
+            return IntPoly(c[:-1] + (c[-1] + 1,)) if (a, b) == box else IntPoly(c)
+
+        monkeypatch.setattr(qgauss, "level_counts", corrupted)
+        assert not criteria.calibration_holds()
 
     def test_first_candidate_fails(self):
         total, _ = koh_sum(2, 2, minimal_edit_argument)
